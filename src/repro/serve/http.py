@@ -36,18 +36,21 @@ import asyncio
 import json
 import logging
 import time
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Awaitable, Callable, Dict, List, Optional, Tuple
 from urllib.parse import parse_qs, unquote, urlsplit
 
 from repro.faults.chaos import ChaosInjector
 from repro.guard.validate import ValidationError
-from repro.serve.service import MetricService, ServiceError
+from repro.serve.service import AnalysisRequest, MetricService, ServiceError
 
 __all__ = [
     "HttpMetricServer",
     "format_response",
+    "parse_analyze_body",
+    "parse_metric_target",
     "read_http_request",
     "run_server",
+    "serve_connection",
 ]
 
 logger = logging.getLogger(__name__)
@@ -101,14 +104,93 @@ async def read_http_request(
                 content_length = int(value.strip())
             except ValueError:
                 content_length = 0
+    if content_length < 0:
+        raise ServiceError(400, {"error": "negative Content-Length"})
     if content_length > _MAX_REQUEST_BYTES:
         raise ServiceError(400, {"error": "request body too large"})
     body = await reader.readexactly(content_length) if content_length else b""
     return method, target, body
 
 
-# Backwards-compatible internal alias.
-_response = format_response
+async def serve_connection(
+    reader: asyncio.StreamReader,
+    writer: asyncio.StreamWriter,
+    route: Callable[[str, str, bytes], Awaitable[Tuple[int, Dict[str, Any]]]],
+) -> None:
+    """The request path of every listener (worker and supervisor front):
+    read one request, ``route(method, target, body)`` it to a
+    ``(status, payload)``, map failures to statuses, write the response,
+    close.  ``ServiceError`` keeps its own status, validation
+    failures are 400, and anything else is a logged 500 — a request must
+    never kill the server."""
+    try:
+        try:
+            raw = await read_http_request(reader)
+            if raw is None:
+                return
+            status, payload = await route(*raw)
+        except ServiceError as exc:
+            status, payload = exc.status, exc.payload
+        except (ValidationError, ValueError) as exc:
+            status, payload = 400, {"error": str(exc)}
+        except Exception as exc:  # noqa: BLE001 — a request must never kill the server
+            logger.exception("unhandled error serving a request")
+            status, payload = 500, {
+                "error": str(exc),
+                "error_type": type(exc).__name__,
+            }
+        writer.write(format_response(status, payload))
+        await writer.drain()
+    except (ConnectionError, BrokenPipeError):
+        pass
+    finally:
+        writer.close()
+
+
+def _split_target(target: str) -> Tuple[List[str], Dict[str, str]]:
+    """URL-decoded path segments and last-wins query parameters."""
+    split = urlsplit(target)
+    path = [unquote(p) for p in split.path.split("/") if p]
+    return path, {k: v[-1] for k, v in parse_qs(split.query).items()}
+
+
+def parse_metric_target(
+    target: str,
+) -> Optional[Tuple[str, str, str, int, Optional[str]]]:
+    """``(system, domain, metric, seed, faults)`` of a
+    ``/v1/metric/<system>/<domain>/<metric>?seed=&faults=`` target, or
+    None for any other path.  A non-integer seed raises ``ValueError``
+    (a 400); an empty ``faults`` means an unfaulted request."""
+    path, query = _split_target(target)
+    if len(path) != 5 or path[:2] != ["v1", "metric"]:
+        return None
+    _, _, system, domain, metric = path
+    seed = int(query.get("seed", 2024))
+    return system, domain, metric, seed, query.get("faults") or None
+
+
+def parse_analyze_body(body: bytes) -> AnalysisRequest:
+    """The validated :class:`AnalysisRequest` of a ``POST /v1/analyze``
+    JSON body; malformed bodies raise a 400 (``ServiceError`` or
+    ``ValidationError``).  An empty ``faults`` means an unfaulted request."""
+    try:
+        request = json.loads(body.decode() or "{}")
+    except json.JSONDecodeError as exc:
+        raise ServiceError(
+            400, {"error": f"request body is not JSON: {exc}"}
+        ) from None
+    if (
+        not isinstance(request, dict)
+        or "system" not in request
+        or "domain" not in request
+    ):
+        raise ServiceError(400, {"error": "body must name 'system' and 'domain'"})
+    return AnalysisRequest(
+        request["system"],
+        request["domain"],
+        seed=int(request.get("seed", 2024)),
+        faults=request.get("faults") or None,
+    )
 
 
 class HttpMetricServer:
@@ -169,37 +251,22 @@ class HttpMetricServer:
                 # Deliberately block the event loop: a wedged loop is the
                 # pathology the supervisor's heartbeat must detect.
                 time.sleep(chaos.config.hang_seconds)
-        try:
-            raw = await read_http_request(reader)
-            if raw is None:
-                return
-            method, target, body = raw
-            status, payload = await self._route(method, target, body)
-        except ServiceError as exc:
-            status, payload = exc.status, exc.payload
-        except (ValidationError, ValueError) as exc:
-            status, payload = 400, {"error": str(exc)}
-        except Exception as exc:  # noqa: BLE001 — a request must never kill the server
-            logger.exception("unhandled error serving a request")
-            status, payload = 500, {
-                "error": str(exc),
-                "error_type": type(exc).__name__,
-            }
-        try:
-            writer.write(_response(status, payload))
-            await writer.drain()
-        except (ConnectionError, BrokenPipeError):
-            pass
-        finally:
-            writer.close()
+        await serve_connection(reader, writer, self._route)
 
     async def _route(
         self, method: str, target: str, body: bytes
     ) -> Tuple[int, Dict[str, Any]]:
-        split = urlsplit(target)
-        path = [unquote(p) for p in split.path.split("/") if p]
-        query = {k: v[-1] for k, v in parse_qs(split.query).items()}
+        keyed = parse_metric_target(target)
+        if keyed is not None:
+            if method != "GET":
+                return 405, {"error": "use GET for /v1/metric"}
+            system, domain, metric, seed, faults = keyed
+            served = await self.service.get_metric(
+                system, domain, metric, seed=seed, faults=faults
+            )
+            return 200, served.to_payload()
 
+        path, query = _split_target(target)
         if path == ["healthz"]:
             return 200, self.service.health()
         if path == ["readyz"]:
@@ -207,33 +274,15 @@ class HttpMetricServer:
                 return 200, {"ready": True}
             return 503, {"ready": False, "error": "service is not ready"}
 
-        if len(path) == 5 and path[:2] == ["v1", "metric"]:
-            if method != "GET":
-                return 405, {"error": "use GET for /v1/metric"}
-            _, _, system, domain, metric = path
-            served = await self.service.get_metric(
-                system,
-                domain,
-                metric,
-                seed=int(query.get("seed", 2024)),
-                faults=query.get("faults"),
-            )
-            return 200, served.to_payload()
-
         if path == ["v1", "analyze"]:
             if method != "POST":
                 return 405, {"error": "use POST for /v1/analyze"}
-            try:
-                request = json.loads(body.decode() or "{}")
-            except json.JSONDecodeError as exc:
-                return 400, {"error": f"request body is not JSON: {exc}"}
-            if "system" not in request or "domain" not in request:
-                return 400, {"error": "body must name 'system' and 'domain'"}
+            request = parse_analyze_body(body)
             served = await self.service.analyze(
-                request["system"],
-                request["domain"],
-                seed=int(request.get("seed", 2024)),
-                faults=request.get("faults"),
+                request.system,
+                request.domain,
+                seed=request.seed,
+                faults=request.faults,
             )
             return 200, {
                 "metrics": {
@@ -244,7 +293,7 @@ class HttpMetricServer:
         if path[:2] == ["v1", "catalog"]:
             return self._route_catalog(path[2:], query)
 
-        return 404, {"error": f"no route for {method} {split.path}"}
+        return 404, {"error": f"no route for {method} {urlsplit(target).path}"}
 
     def _route_catalog(
         self, rest: list, query: Dict[str, str]

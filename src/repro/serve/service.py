@@ -34,6 +34,7 @@ scope around the loop observes the whole service.
 from __future__ import annotations
 
 import asyncio
+import functools
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -65,6 +66,8 @@ __all__ = [
     "ServiceError",
     "ServiceStats",
     "TransportError",
+    "catalog_key",
+    "serving_config",
 ]
 
 
@@ -164,6 +167,33 @@ class AnalysisRequest:
     def key(self) -> Tuple[str, str, int, Optional[str]]:
         """The coalescing key: requests with equal keys share one run."""
         return (self.system, self.domain, self.seed, self.faults)
+
+
+def serving_config(domain: str) -> PipelineConfig:
+    """The pipeline configuration every served analysis of ``domain`` runs."""
+    return replace(DOMAIN_CONFIGS[domain], use_measurement_cache=True)
+
+
+@functools.lru_cache(maxsize=1024)
+def catalog_key(
+    system: str, domain: str, seed: int
+) -> Tuple[str, str, str, Dict[str, str]]:
+    """``(arch, config digest, events digest, per-event dependency
+    digests)`` of one served analysis: the catalog key it publishes
+    under and the freshness evidence a stored entry must carry to answer
+    it.  Workers and the supervisor front both read through here, so they
+    agree on the key by construction.  Nodes are deterministic, so the
+    result is cached per ``(system, domain, seed)`` (bounded: clients
+    choose seeds); an unknown system or domain raises ``KeyError``."""
+    from repro.incr.engine import domain_event_digests
+
+    node = SWEEP_SYSTEMS[system](seed=seed)
+    return (
+        node.name,
+        analysis_config_digest(domain, seed, serving_config(domain)),
+        node.events.content_digest(),
+        domain_event_digests(node.events, domain),
+    )
 
 
 @dataclass
@@ -296,14 +326,6 @@ class MetricService:
         self._queue: Optional["asyncio.Queue[_Job]"] = None
         self._worker_tasks: List["asyncio.Task[None]"] = []
         self._inflight: Dict[Tuple, _Job] = {}
-        # (system, seed) -> (arch name, event-set digest); nodes are
-        # deterministic, so this only needs to be computed once each.
-        self._node_info: Dict[Tuple[str, int], Tuple[str, str]] = {}
-        # (system, seed) -> node, and (system, seed, domain) -> per-event
-        # dependency digests; both deterministic, computed once, and what
-        # keeps catalog reads from re-hashing the registry per request.
-        self._nodes: Dict[Tuple[str, int], object] = {}
-        self._domain_deps: Dict[Tuple[str, int, str], Dict[str, str]] = {}
         self._started = False
         self._stopping = False
         # Unique per instance so stop() can join exactly this service's
@@ -390,44 +412,6 @@ class MetricService:
             "counters": dict(get_tracer().counters),
             "catalog": self.store is not None,
         }
-
-    # -- node identity -------------------------------------------------
-    def _node_for(self, system: str, seed: int):
-        """The (deterministic, cached) node for a system+seed."""
-        key = (system, seed)
-        node = self._nodes.get(key)
-        if node is None:
-            node = SWEEP_SYSTEMS[system](seed=seed)
-            self._nodes[key] = node
-        return node
-
-    def _node_identity(self, system: str, seed: int) -> Tuple[str, str]:
-        """(architecture name, event-set digest) for a system+seed."""
-        key = (system, seed)
-        info = self._node_info.get(key)
-        if info is None:
-            node = self._node_for(system, seed)
-            # content_digest() is cached on the registry itself, so even
-            # a cold service instance hashes the event set once.
-            info = (node.name, node.events.content_digest())
-            self._node_info[key] = info
-        return info
-
-    def _domain_dependencies(
-        self, system: str, seed: int, domain: str
-    ) -> Dict[str, str]:
-        """Per-event dependency digests of one domain's measured slice."""
-        key = (system, seed, domain)
-        deps = self._domain_deps.get(key)
-        if deps is None:
-            from repro.incr.engine import domain_event_digests
-
-            deps = domain_event_digests(self._node_for(system, seed).events, domain)
-            self._domain_deps[key] = deps
-        return deps
-
-    def _config_for(self, domain: str) -> PipelineConfig:
-        return replace(DOMAIN_CONFIGS[domain], use_measurement_cache=True)
 
     # -- request paths -------------------------------------------------
     async def get_metric(
@@ -527,12 +511,8 @@ class MetricService:
         from repro.core.signatures import signatures_for
         from repro.serve.shard import ShardUnavailable
 
-        arch, events_digest = self._node_identity(request.system, request.seed)
-        config_digest = analysis_config_digest(
-            request.domain, request.seed, self._config_for(request.domain)
-        )
-        dependencies = self._domain_dependencies(
-            request.system, request.seed, request.domain
+        arch, config_digest, events_digest, dependencies = catalog_key(
+            request.system, request.domain, request.seed
         )
         entries: Dict[str, CatalogEntry] = {}
         for signature in signatures_for(request.domain):
@@ -569,9 +549,8 @@ class MetricService:
         from repro.core.signatures import signatures_for
         from repro.serve.shard import ShardUnavailable
 
-        arch, _ = self._node_identity(request.system, request.seed)
-        config_digest = analysis_config_digest(
-            request.domain, request.seed, self._config_for(request.domain)
+        arch, config_digest, _, _ = catalog_key(
+            request.system, request.domain, request.seed
         )
         served: Dict[str, ServedMetric] = {}
         for signature in signatures_for(request.domain):
@@ -623,7 +602,7 @@ class MetricService:
             )
         from repro.incr import refresh_catalog
 
-        node = self._node_for(system, seed)
+        node = SWEEP_SYSTEMS[system](seed=seed)
         wanted = tuple(domains) if domains else SYSTEM_DOMAINS[system]
         for domain in wanted:
             if domain not in SYSTEM_DOMAINS[system]:
@@ -635,7 +614,7 @@ class MetricService:
                         "available": list(SYSTEM_DOMAINS[system]),
                     },
                 )
-        configs = {domain: self._config_for(domain) for domain in wanted}
+        configs = {domain: serving_config(domain) for domain in wanted}
         loop = asyncio.get_running_loop()
         report = await loop.run_in_executor(
             self._pool,
@@ -689,7 +668,7 @@ class MetricService:
             system=request.system,
             domain=request.domain,
             seed=request.seed,
-            config=self._config_for(request.domain),
+            config=serving_config(request.domain),
             cache_dir=self.cache_dir,
             faults=faults,
         )
@@ -735,8 +714,8 @@ class MetricService:
         self.stats.pipeline_runs += 1
         tracer.incr("serve.pipeline_runs")
         result = outcome.result
-        arch, events_digest = self._node_identity(
-            job.request.system, job.request.seed
+        arch, _, events_digest, dependencies = catalog_key(
+            job.request.system, job.request.domain, job.request.seed
         )
         trace_digest = None
         if result.trace is not None:
@@ -752,9 +731,7 @@ class MetricService:
                 seed=job.request.seed,
                 events_digest=events_digest,
                 trace_digest=trace_digest,
-                event_digests=self._domain_dependencies(
-                    job.request.system, job.request.seed, job.request.domain
-                ),
+                event_digests=dependencies,
             )
         }
         if self.store is not None and job.request.faults is None:

@@ -57,9 +57,14 @@ from dataclasses import dataclass, field
 from typing import Any, Deque, Dict, List, Optional, Tuple
 
 from repro.obs import get_tracer
-from repro.serve.catalog import FsckReport, MetricCatalogStore
-from repro.serve.http import format_response, read_http_request
-from repro.serve.service import ServiceError, TransportError
+from repro.serve.catalog import FsckReport
+from repro.serve.http import (
+    parse_analyze_body,
+    parse_metric_target,
+    serve_connection,
+)
+from repro.serve.service import TransportError, catalog_key
+from repro.serve.shard import ShardedCatalogStore, open_catalog
 
 __all__ = ["ServiceSupervisor", "SupervisorConfig", "SupervisorServer"]
 
@@ -91,7 +96,9 @@ class SupervisorConfig:
     service_retries: int = 1
     service_task_timeout: Optional[float] = None
     stale_max_age: Optional[float] = None
-    #: Consistent-hash shard count of the catalog root (0 = unsharded).
+    #: Consistent-hash shard count for a *new* catalog root (0 =
+    #: unsharded); a root that already has ``shards.json`` opens with its
+    #: recorded topology (see :func:`~repro.serve.shard.open_catalog`).
     #: With shards, every worker opens the same
     #: :class:`~repro.serve.shard.ShardedCatalogStore` (any worker can
     #: read and publish any key — ownership is *affinity*, not
@@ -143,15 +150,12 @@ def _worker_entry(
 
     store = None
     if catalog_root is not None:
-        failpoint = chaos.catalog_failpoint if chaos is not None else None
-        if config.get("shards", 0) > 0:
-            from repro.serve.shard import ShardedCatalogStore
-
-            store = ShardedCatalogStore(
-                catalog_root, n_shards=config["shards"], failpoint=failpoint
-            )
-        else:
-            store = MetricCatalogStore(catalog_root, failpoint=failpoint)
+        # The supervisor opened the root first, so a sharded topology's
+        # manifest already exists and open_catalog follows it.
+        store = open_catalog(
+            catalog_root,
+            failpoint=chaos.catalog_failpoint if chaos is not None else None,
+        )
 
     service = MetricService(
         store,
@@ -239,14 +243,6 @@ class ServiceSupervisor:
         self._redispatches = 0
         self._stale_fallbacks = 0
         self._front_serves = 0
-        # (system, domain, seed) -> (arch, config digest), for the
-        # degraded-mode catalog read (see _request_identity).
-        self._identity_cache: Dict[Tuple[str, str, int], Tuple[str, str]] = {}
-        # (system, seed, domain) -> (events digest, dependency digests),
-        # for the front-replica read (see _fresh_answer).
-        self._evidence_cache: Dict[
-            Tuple[str, int, str], Tuple[str, Dict[str, str]]
-        ] = {}
         # Coalescing identity -> [slot index, in-flight count]: identical
         # concurrent analyses stick to one worker (see dispatch).
         self._sticky: Dict[Tuple, List[Any]] = {}
@@ -256,21 +252,16 @@ class ServiceSupervisor:
 
             self._chaos = ChaosInjector(parse_chaos_spec(chaos_spec))
         # Read-only catalog view for the degraded path (no failpoint:
-        # the supervisor never publishes).  Creating the sharded store
-        # here also publishes the topology manifest before any worker
-        # spawns, so workers always open an agreed-upon ring.
+        # the supervisor never publishes).  Creating a sharded store here
+        # also publishes the topology manifest before any worker spawns,
+        # so workers always open an agreed-upon ring — and the
+        # dispatcher routes by the ring the store actually has.
         self._store = None
         self._ring = None
         if catalog_root is not None:
-            if self.config.shards > 0:
-                from repro.serve.shard import ShardedCatalogStore
-
-                self._store = ShardedCatalogStore(
-                    catalog_root, n_shards=self.config.shards
-                )
+            self._store = open_catalog(catalog_root, shards=self.config.shards)
+            if isinstance(self._store, ShardedCatalogStore):
                 self._ring = self._store.ring
-            else:
-                self._store = MetricCatalogStore(catalog_root)
 
     # -- lifecycle -----------------------------------------------------
     def start(self) -> None:
@@ -324,7 +315,6 @@ class ServiceSupervisor:
             "service_task_timeout": self.config.service_task_timeout,
             "stale_max_age": self.config.stale_max_age,
             "heartbeat_interval": self.config.heartbeat_interval,
-            "shards": self.config.shards,
         }
         seam = getattr(self, "_exit_after", None)
         if seam is not None:
@@ -458,30 +448,7 @@ class ServiceSupervisor:
         assert self._ring is not None
         return self._ring.shards.index(shard) % self.config.workers
 
-    @staticmethod
-    def _parse_metric_target(
-        method: str, target: str
-    ) -> Optional[Tuple[str, str, str, int, Optional[str]]]:
-        """``(system, domain, metric, seed, faults)`` of a keyed read,
-        or None when the request is not ``GET /v1/metric/...`` or is
-        malformed (the worker owns producing the structured 400/404)."""
-        if method != "GET":
-            return None
-        from urllib.parse import parse_qs, unquote, urlsplit
-
-        split = urlsplit(target)
-        path = [unquote(p) for p in split.path.split("/") if p]
-        if len(path) != 5 or path[:2] != ["v1", "metric"]:
-            return None
-        _, _, system, domain, metric = path
-        query = {k: v[-1] for k, v in parse_qs(split.query).items()}
-        try:
-            seed = int(query.get("seed", 2024))
-        except ValueError:
-            return None
-        return system, domain, metric, seed, query.get("faults") or None
-
-    def _preferred_slot(self, method: str, target: str) -> Optional[int]:
+    def _preferred_slot(self, keyed: Optional[Tuple]) -> Optional[int]:
         """Shard-affinity routing for keyed reads: the worker slot that
         *owns* ``GET /v1/metric/...``'s catalog key via the ring — the
         worker whose replica cache and coalescing window already hold
@@ -490,40 +457,16 @@ class ServiceSupervisor:
         advisory — any worker *can* serve any key over the shared store
         — so a down owner falls back to round-robin instead of failing.
         """
-        if self._ring is None:
+        if self._ring is None or keyed is None:
             return None
-        parsed = self._parse_metric_target(method, target)
-        if parsed is None:
-            return None
-        system, domain, metric, seed, _ = parsed
+        system, domain, metric, seed, _ = keyed
         try:
-            arch, _ = self._request_identity(system, domain, seed)
+            arch = catalog_key(system, domain, seed)[0]
             return self._slot_for_shard(self._ring.lookup(arch, metric))
         except Exception:  # noqa: BLE001 — affinity is advisory, never fatal
             return None
 
-    def _node_evidence(
-        self, system: str, seed: int, domain: str
-    ) -> Tuple[str, Dict[str, str]]:
-        """(event-set digest, per-event dependency digests) for a keyed
-        read — the same freshness evidence the workers present to the
-        store, computed the same way, cached per (system, seed, domain).
-        """
-        key = (system, seed, domain)
-        evidence = self._evidence_cache.get(key)
-        if evidence is None:
-            from repro.core.sweep import SWEEP_SYSTEMS
-            from repro.incr.engine import domain_event_digests
-
-            node = SWEEP_SYSTEMS[system](seed=seed)
-            evidence = (
-                node.events.content_digest(),
-                domain_event_digests(node.events, domain),
-            )
-            self._evidence_cache[key] = evidence
-        return evidence
-
-    def _fresh_answer(self, method: str, target: str) -> Optional[Dict[str, Any]]:
+    def _fresh_answer(self, keyed: Tuple) -> Optional[Dict[str, Any]]:
         """Front-replica read: answer ``GET /v1/metric/...`` from the
         dispatcher's own catalog view when the stored entry carries the
         full freshness evidence — the exact check a worker's catalog
@@ -531,18 +474,12 @@ class ServiceSupervisor:
         key skips the internal hop entirely.  Returns None on any miss
         or doubt (the request is then forwarded to the pool as usual);
         never serves stale or faulted requests."""
-        if self._store is None:
-            return None
-        parsed = self._parse_metric_target(method, target)
-        if parsed is None:
-            return None
-        system, domain, metric, seed, faults = parsed
-        if faults:
+        system, domain, metric, seed, faults = keyed
+        if self._store is None or faults:
             return None
         try:
-            arch, config_digest = self._request_identity(system, domain, seed)
-            events_digest, dependencies = self._node_evidence(
-                system, seed, domain
+            arch, config_digest, events_digest, dependencies = catalog_key(
+                system, domain, seed
             )
             entry = self._store.latest(
                 arch,
@@ -563,29 +500,6 @@ class ServiceSupervisor:
         payload["stale"] = False
         return payload
 
-    @staticmethod
-    def _coalescing_identity(
-        method: str, target: str, body: bytes
-    ) -> Optional[Tuple]:
-        """The sticky-dispatch key of ``POST /v1/analyze``: requests
-        with equal identities share one worker *while one is in
-        flight*, so the worker's request coalescing sees them as one
-        computation.  Distinct identities carry no affinity (they
-        round-robin for balance — an analysis spans every metric of a
-        domain, so no single shard owns it)."""
-        if method != "POST" or target.split("?", 1)[0] != "/v1/analyze":
-            return None
-        try:
-            request = json.loads(body.decode() or "{}")
-            return (
-                request["system"],
-                request["domain"],
-                int(request.get("seed", 2024)),
-                request.get("faults"),
-            )
-        except Exception:  # noqa: BLE001 — malformed: no affinity
-            return None
-
     async def dispatch(
         self, method: str, target: str, body: bytes, *, timeout: float = 60.0
     ) -> Tuple[int, Dict[str, Any]]:
@@ -597,17 +511,23 @@ class ServiceSupervisor:
         read when no worker is live."""
         loop = asyncio.get_running_loop()
         last_error: Optional[TransportError] = None
-        if method == "GET":
+        keyed = parse_metric_target(target) if method == "GET" else None
+        if keyed is not None:
             # Hot keyed reads are served straight off the dispatcher's
             # replica-fronted catalog view when fully fresh — no worker
             # hop at all (see _fresh_answer).
-            fresh = await loop.run_in_executor(
-                None, self._fresh_answer, method, target
-            )
+            fresh = await loop.run_in_executor(None, self._fresh_answer, keyed)
             if fresh is not None:
                 return 200, fresh
-        preferred = self._preferred_slot(method, target)
-        sticky = self._coalescing_identity(method, target, body)
+        preferred = self._preferred_slot(keyed)
+        # The sticky-dispatch key of an analysis is its coalescing
+        # identity: identical analyses share one worker *while one is in
+        # flight*, so the worker's request coalescing sees them as one
+        # computation.  Distinct identities round-robin for balance (an
+        # analysis spans every metric of a domain; no shard owns it).
+        sticky = None
+        if method == "POST" and target.split("?", 1)[0] == "/v1/analyze":
+            sticky = parse_analyze_body(body).key
         registered = False
         if sticky is not None:
             with self._lock:
@@ -672,7 +592,9 @@ class ServiceSupervisor:
                         held[1] -= 1
                         if held[1] <= 0:
                             del self._sticky[sticky]
-        stale = await loop.run_in_executor(None, self._stale_answer, method, target)
+        stale = None
+        if keyed is not None:
+            stale = await loop.run_in_executor(None, self._stale_answer, keyed)
         if stale is not None:
             return 200, stale
         payload = {
@@ -684,29 +606,7 @@ class ServiceSupervisor:
             payload["last_error"] = last_error.payload
         return 503, payload
 
-    def _request_identity(
-        self, system: str, domain: str, seed: int
-    ) -> Tuple[str, str]:
-        """(arch, config digest) for a request, computed exactly as the
-        workers compute it — the degraded path must read the same
-        catalog key the pool publishes under, never a neighbouring one.
-        Deterministic, so cached per (system, domain, seed)."""
-        key = (system, domain, seed)
-        identity = self._identity_cache.get(key)
-        if identity is None:
-            from dataclasses import replace
-
-            from repro.core.pipeline import DOMAIN_CONFIGS
-            from repro.core.sweep import SWEEP_SYSTEMS
-            from repro.serve.catalog import analysis_config_digest
-
-            node = SWEEP_SYSTEMS[system](seed=seed)
-            config = replace(DOMAIN_CONFIGS[domain], use_measurement_cache=True)
-            identity = (node.name, analysis_config_digest(domain, seed, config))
-            self._identity_cache[key] = identity
-        return identity
-
-    def _stale_answer(self, method: str, target: str) -> Optional[Dict[str, Any]]:
+    def _stale_answer(self, keyed: Tuple) -> Optional[Dict[str, Any]]:
         """Degraded mode: answer ``GET /v1/metric/...`` from the
         supervisor's own catalog view, stamped stale, inside the
         freshness bound — for exactly the requested
@@ -714,16 +614,11 @@ class ServiceSupervisor:
         one.  Faulted requests get None (an unfaulted catalog entry
         would be a wrong answer for a diagnostics run).  Returns None
         when not applicable."""
-        if self._store is None or self.config.stale_max_age is None:
-            return None
-        parsed = self._parse_metric_target(method, target)
-        if parsed is None:
-            return None
-        system, domain, metric, seed, faults = parsed
-        if faults:
+        system, domain, metric, seed, faults = keyed
+        if self._store is None or self.config.stale_max_age is None or faults:
             return None
         try:
-            arch, config_digest = self._request_identity(system, domain, seed)
+            arch, config_digest, _, _ = catalog_key(system, domain, seed)
         except KeyError:
             return None
         found = self._store.stale_latest(
@@ -776,7 +671,7 @@ class ServiceSupervisor:
             ),
             "config": {
                 "workers": self.config.workers,
-                "shards": self.config.shards,
+                "shards": len(self._ring.shards) if self._ring else 0,
                 "heartbeat_timeout": self.config.heartbeat_timeout,
                 "restart_intensity": self.config.restart_intensity,
                 "restart_window": self.config.restart_window,
@@ -830,29 +725,13 @@ class SupervisorServer:
     async def _handle(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
-        try:
-            raw = await read_http_request(reader)
-            if raw is None:
-                return
-            method, target, body = raw
-            if target.split("?")[0] == "/supervisor/status":
-                status, payload = 200, self.supervisor.status()
-            else:
-                status, payload = await self.supervisor.dispatch(
-                    method, target, body, timeout=self.proxy_timeout
-                )
-        except ServiceError as exc:
-            status, payload = exc.status, exc.payload
-        except Exception as exc:  # noqa: BLE001 — the front must never die
-            logger.exception("unhandled error in the supervisor front")
-            status, payload = 500, {
-                "error": str(exc),
-                "error_type": type(exc).__name__,
-            }
-        try:
-            writer.write(format_response(status, payload))
-            await writer.drain()
-        except (ConnectionError, BrokenPipeError):
-            pass
-        finally:
-            writer.close()
+        await serve_connection(reader, writer, self._route)
+
+    async def _route(
+        self, method: str, target: str, body: bytes
+    ) -> Tuple[int, Dict[str, Any]]:
+        if target.split("?")[0] == "/supervisor/status":
+            return 200, self.supervisor.status()
+        return await self.supervisor.dispatch(
+            method, target, body, timeout=self.proxy_timeout
+        )

@@ -8,6 +8,7 @@ loop hosts both sides.
 import asyncio
 import functools
 import json
+from urllib.parse import quote
 
 import pytest
 
@@ -183,3 +184,73 @@ class TestErrorMapping:
             assert err.value.status == 405
 
         run_async(_with_server(body, cache_dir=str(tmp_path / "cache")))
+
+
+class TestSharedRequestPath:
+    def test_negative_content_length_is_400_on_worker_and_front(self):
+        """The worker and the supervisor front share one request path,
+        so the same malformed request gets the same typed 400 from both
+        (neither listener needs its workers or its pipeline for this)."""
+        from repro.serve import (
+            ServiceSupervisor,
+            SupervisorConfig,
+            SupervisorServer,
+        )
+
+        worker = HttpMetricServer(MetricService())
+        front = SupervisorServer(
+            ServiceSupervisor(None, config=SupervisorConfig(workers=1))
+        )
+        request = b"POST /v1/analyze HTTP/1.0\r\nContent-Length: -5\r\n\r\n"
+
+        async def status_of(handler):
+            server = await asyncio.start_server(handler, "127.0.0.1", 0)
+            port = server.sockets[0].getsockname()[1]
+            try:
+                reader, writer = await asyncio.open_connection("127.0.0.1", port)
+                writer.write(request)
+                await writer.drain()
+                response = await reader.read()
+                writer.close()
+            finally:
+                server.close()
+                await server.wait_closed()
+            head, _, body = response.partition(b"\r\n\r\n")
+            return int(head.split()[1]), json.loads(body)
+
+        answers = [
+            run_async(status_of(handler))
+            for handler in (worker._handle, front._handle)
+        ]
+        assert [status for status, _ in answers] == [400, 400]
+        assert all("Content-Length" in payload["error"] for _, payload in answers)
+
+    def test_empty_faults_is_an_unfaulted_request(self, tmp_path):
+        """An empty fault spec, as ``?faults=`` or ``"faults": ""``, is
+        an unfaulted request: it is answered from the catalog."""
+
+        async def body(client, call, server):
+            await call(client.analyze, "aurora", "branch", seed=7)
+            read = await call(
+                client._request,
+                "GET",
+                f"/v1/metric/aurora/branch/{quote(METRIC)}?seed=7&faults=",
+            )
+            assert read["source"] == "catalog"
+            analysis = await call(
+                client._request,
+                "POST",
+                "/v1/analyze",
+                {"system": "aurora", "domain": "branch", "seed": 7, "faults": ""},
+            )
+            assert {m["source"] for m in analysis["metrics"].values()} == {
+                "catalog"
+            }
+
+        run_async(
+            _with_server(
+                body,
+                store=MetricCatalogStore(tmp_path / "catalog"),
+                cache_dir=str(tmp_path / "cache"),
+            )
+        )

@@ -17,6 +17,7 @@ from repro.serve import (
     ServiceBusy,
     ServiceError,
 )
+from repro.serve.service import serving_config
 
 METRIC = "Mispredicted Branches."
 
@@ -124,7 +125,7 @@ class TestCatalogServing:
 
         async def body(service):
             served = await service.analyze("aurora", "branch", seed=7)
-            config = service._config_for("branch")
+            config = serving_config("branch")
             return served, config
 
         served, config = run_async(
@@ -400,7 +401,7 @@ class TestRefreshHook:
 
         async def body(service):
             await service.refresh("aurora", seed=7, domains=["branch"])
-            node = service._node_for("aurora", 7)
+            node = aurora_node(seed=7)
             target = next(
                 e.full_name for e in node.events if e.domain == "branch"
             )

@@ -21,7 +21,9 @@ from repro.serve import (
     SupervisorConfig,
     SupervisorServer,
 )
+from repro.serve import supervisor as supervisor_module
 from repro.serve.catalog import entries_from_result
+from repro.serve.http import parse_metric_target
 
 METRIC = "Mispredicted Branches."
 
@@ -44,9 +46,9 @@ class TestSupervisorConfig:
 
 
 class TestSupervisedServing:
-    def test_pool_serves_survives_kill_and_degrades(self, tmp_path):
-        """One pool exercise: serve -> SIGKILL one worker (request is
-        re-dispatched, worker restarts within budget) -> kill every
+    def test_pool_serves_survives_kill_and_degrades(self, tmp_path, monkeypatch):
+        """One pool exercise: serve -> SIGKILL one worker (the survivor
+        serves, worker restarts within budget) -> kill every
         worker (a fully-fresh published key is still served fresh from
         the dispatcher's own catalog view; once freshness evidence
         fails, the answer degrades to an explicitly stale one)."""
@@ -88,9 +90,12 @@ class TestSupervisedServing:
             assert payload["live"] == 2
             assert {w["state"] for w in payload["workers"]} == {"live"}
 
-            # 2. SIGKILL one worker: the request rides a re-dispatch to
-            # the survivor, and the slot restarts within budget.
+            # 2. SIGKILL one worker: the request is served by the
+            # survivor, and the slot restarts within budget.  kill() only
+            # sends the signal; wait for the death to land so the live
+            # poll below cannot count the dying worker.
             supervisor.slots[0].process.kill()
+            supervisor.slots[0].process.join(5)
             second = await loop.run_in_executor(None, metric)
             assert second["stale"] is False
             assert second["metric"] == METRIC
@@ -105,7 +110,8 @@ class TestSupervisedServing:
             # read answers it *fresh* — no worker needed at all.
             for slot in supervisor.slots:
                 slot.process.kill()
-            await asyncio.sleep(0.1)
+            for slot in supervisor.slots:
+                slot.process.join(5)
             third = await loop.run_in_executor(None, metric)
             assert third["stale"] is False
             assert third["source"] == "catalog"
@@ -116,10 +122,13 @@ class TestSupervisedServing:
             # refuses (evidence mismatch), no worker is live to
             # recompute, so the answer degrades to an *explicitly*
             # stale catalog read rather than an error or a lie.
-            supervisor._evidence_cache[("aurora", 2024, "branch")] = (
-                "0" * 16,
-                {"drifted-event": "0" * 16},
-            )
+            real_key = supervisor_module.catalog_key
+
+            def drifted_key(system, domain, seed):
+                arch, config_digest, _, _ = real_key(system, domain, seed)
+                return arch, config_digest, "0" * 16, {"drifted-event": "0" * 16}
+
+            monkeypatch.setattr(supervisor_module, "catalog_key", drifted_key)
             fourth = await loop.run_in_executor(None, metric)
             assert fourth["stale"] is True
             assert fourth["source"] == "catalog"
@@ -214,38 +223,24 @@ class TestSupervisedServing:
             str(tmp_path / "catalog"),
             config=SupervisorConfig(workers=1, stale_max_age=3600.0),
         )
-        target = f"/v1/metric/aurora/branch/{quote(METRIC)}?seed=7"
-        answer = supervisor._stale_answer("GET", target)
+
+        def stale(system, query):
+            target = f"/v1/metric/{system}/branch/{quote(METRIC)}?{query}"
+            return supervisor._stale_answer(parse_metric_target(target))
+
+        answer = stale("aurora", "seed=7")
         assert answer is not None
         assert answer["stale"] is True
         assert answer["metric"] == METRIC
 
         # A different seed is a different analysis.
-        assert (
-            supervisor._stale_answer(
-                "GET", f"/v1/metric/aurora/branch/{quote(METRIC)}?seed=2024"
-            )
-            is None
-        )
+        assert stale("aurora", "seed=2024") is None
         # Another system's entries never answer for this one.
-        assert (
-            supervisor._stale_answer(
-                "GET", f"/v1/metric/frontier/branch/{quote(METRIC)}?seed=7"
-            )
-            is None
-        )
+        assert stale("frontier", "seed=7") is None
         # Unknown systems degrade to the 503 path, not a crash.
-        assert (
-            supervisor._stale_answer(
-                "GET", f"/v1/metric/nope/branch/{quote(METRIC)}?seed=7"
-            )
-            is None
-        )
+        assert stale("nope", "seed=7") is None
         # Faulted requests must never get an unfaulted stale answer.
-        assert (
-            supervisor._stale_answer("GET", target + "&faults=kill%3D0.5")
-            is None
-        )
+        assert stale("aurora", "seed=7&faults=kill%3D0.5") is None
 
     def test_fresh_answer_serves_replica_reads_without_a_worker(
         self, tmp_path
@@ -284,9 +279,12 @@ class TestSupervisedServing:
             if entry.metric != tampered.metric:
                 supervisor._store.put(entry)
 
-        target = f"/v1/metric/aurora/branch/{quote(METRIC)}?seed=7"
+        def fresh(system, metric, query):
+            target = f"/v1/metric/{system}/branch/{quote(metric)}?{query}"
+            return supervisor._fresh_answer(parse_metric_target(target))
+
         with obs.tracing(seed=7) as tracer:
-            answer = supervisor._fresh_answer("GET", target)
+            answer = fresh("aurora", METRIC, "seed=7")
             assert answer is not None
             assert answer["metric"] == METRIC
             assert answer["stale"] is False
@@ -295,24 +293,52 @@ class TestSupervisedServing:
         assert supervisor.status()["front_serves"] == 1
 
         # Drifted registry evidence is a miss, not a wrong answer.
-        drifted = f"/v1/metric/aurora/branch/{quote(tampered.metric)}?seed=7"
-        assert supervisor._fresh_answer("GET", drifted) is None
+        assert fresh("aurora", tampered.metric, "seed=7") is None
         # Another seed is another analysis; faulted requests and POSTs
-        # never take the fast path.
-        other_seed = f"/v1/metric/aurora/branch/{quote(METRIC)}?seed=2024"
-        assert supervisor._fresh_answer("GET", other_seed) is None
-        assert (
-            supervisor._fresh_answer("GET", target + "&faults=kill%3D0.5")
-            is None
-        )
-        assert supervisor._fresh_answer("POST", target) is None
+        # never take the fast path (a POST is never parsed as a keyed
+        # read, so with no live worker it gets the 503).
+        assert fresh("aurora", METRIC, "seed=2024") is None
+        assert fresh("aurora", METRIC, "seed=7&faults=kill%3D0.5") is None
+        target = f"/v1/metric/aurora/branch/{quote(METRIC)}?seed=7"
+        status, _ = asyncio.run(supervisor.dispatch("POST", target, b""))
+        assert status == 503
+        assert supervisor.status()["front_serves"] == 1
         # Unknown systems degrade to dispatch, not a crash.
-        assert (
-            supervisor._fresh_answer(
-                "GET", f"/v1/metric/nope/branch/{quote(METRIC)}?seed=7"
-            )
-            is None
+        assert fresh("nope", METRIC, "seed=7") is None
+
+    def test_existing_shard_manifest_is_authoritative(self, tmp_path):
+        """A supervisor configured without shards over a root that
+        already has ``shards.json`` opens it sharded (as ``open_catalog``
+        does for single-process serving), routes by that ring, reports
+        its shard count, and serves the keys published into it."""
+        from urllib.parse import quote
+
+        from repro.serve import ShardedCatalogStore, open_catalog
+        from repro.serve.service import serving_config
+
+        node = aurora_node(seed=7)
+        result = AnalysisPipeline.for_domain(
+            "branch", node, config=serving_config("branch")
+        ).run()
+        store = open_catalog(tmp_path / "catalog", shards=2)
+        for entry in entries_from_result(
+            result,
+            arch=node.name,
+            seed=7,
+            events_digest=event_set_digest(node.events),
+        ):
+            store.put(entry)
+
+        supervisor = ServiceSupervisor(
+            str(tmp_path / "catalog"), config=SupervisorConfig(workers=1)
         )
+        assert isinstance(supervisor._store, ShardedCatalogStore)
+        assert supervisor.status()["config"]["shards"] == 2
+        target = f"/v1/metric/aurora/branch/{quote(METRIC)}?seed=7"
+        answer = supervisor._fresh_answer(parse_metric_target(target))
+        assert answer is not None
+        assert answer["metric"] == METRIC
+        assert answer["stale"] is False
 
     def test_status_is_json_serializable(self, tmp_path):
         import json
