@@ -11,7 +11,6 @@ from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover — type-checker-only eager imports
     from repro.io.cache import (
-        CacheStats,
         MeasurementCache,
         default_measurement_cache,
         event_set_digest,
@@ -39,7 +38,6 @@ if TYPE_CHECKING:  # pragma: no cover — type-checker-only eager imports
     from repro.io.tables import render_markdown_table, write_csv, write_markdown
 
 _EXPORTS = {
-    "CacheStats": "repro.io.cache",
     "MeasurementCache": "repro.io.cache",
     "default_measurement_cache": "repro.io.cache",
     "event_set_digest": "repro.io.cache",

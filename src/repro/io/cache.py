@@ -25,7 +25,7 @@ checksums of both artifact files, written atomically alongside them.  A
 read verifies the checksums (and survives a decode failure) before the
 entry is trusted; anything corrupt — truncated write, torn page, bit rot,
 or the fault injector's ``cache_corruption_rate`` — is moved to a
-``quarantine/`` subdirectory, logged, counted in ``stats.corrupt``, and
+``quarantine/`` subdirectory, logged, counted as ``corrupt``, and
 reported as a miss so the caller transparently re-measures.  The keys of
 quarantined entries are kept on ``cache.quarantined`` for the robustness
 audit.  A disk layer that stops being writable (permissions, read-only
@@ -40,7 +40,6 @@ import logging
 import os
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, List, Optional, Union
 
@@ -48,10 +47,9 @@ from repro.cat.measurement import MeasurementSet
 from repro.events.model import RawEvent
 from repro.io.digest import file_digest, json_digest, sha256_hex
 from repro.io.store import load_measurements, save_measurements
-from repro.obs import get_tracer
+from repro.obs import Counters
 
 __all__ = [
-    "CacheStats",
     "MeasurementCache",
     "default_measurement_cache",
     "event_set_digest",
@@ -119,26 +117,18 @@ def measurement_cache_key(
     return json_digest(payload)
 
 
-@dataclass
-class CacheStats:
-    """Hit/miss accounting for one cache instance."""
-
-    memory_hits: int = 0
-    disk_hits: int = 0
-    misses: int = 0
-    stores: int = 0
-    # Disk entries that failed checksum verification (or decoding) and
-    # were quarantined; each also counts as a miss.
-    corrupt: int = 0
-    # In-memory LRU entries displaced by capacity pressure.  A hot
-    # column-reuse workload (repro.incr keeps one entry per event) that
-    # shows a non-zero eviction rate is telling you max_memory_entries
-    # is too small for the working set.
-    evictions: int = 0
-
-    @property
-    def hits(self) -> int:
-        return self.memory_hits + self.disk_hits
+#: Hit/miss accounting for one cache instance (traced as ``cache.<name>``).
+#: ``corrupt`` entries failed verification and were quarantined (each is
+#: also a miss).  A hot column-reuse workload (repro.incr keeps one entry
+#: per event) with non-zero ``evictions`` needs a larger max_memory_entries.
+CACHE_COUNTERS = (
+    "memory_hits",
+    "disk_hits",
+    "misses",
+    "stores",
+    "corrupt",
+    "evictions",
+)
 
 
 class MeasurementCache:
@@ -169,7 +159,7 @@ class MeasurementCache:
         # instance across its worker threads, and OrderedDict mutation is
         # not atomic under concurrent move_to_end/popitem.
         self._memory_lock = threading.Lock()
-        self.stats = CacheStats()
+        self.stats = Counters("cache", CACHE_COUNTERS)
         # Keys of entries that failed verification and were set aside;
         # the robustness report reconciles injected cache corruption
         # against this list (the entry was caught, not trusted).
@@ -226,8 +216,7 @@ class MeasurementCache:
                 # either way the poison is out of the entry path.
                 continue
         self.quarantined.append(key)
-        self.stats.corrupt += 1
-        get_tracer().incr("cache.corrupt")
+        self.stats.incr("corrupt")
         logger.warning(
             "cache entry %s failed verification (%s: %s); quarantined %s "
             "and re-measuring",
@@ -246,8 +235,7 @@ class MeasurementCache:
                 self._memory.popitem(last=False)
                 evicted += 1
         if evicted:
-            self.stats.evictions += evicted
-            get_tracer().incr("cache.evictions", evicted)
+            self.stats.incr("evictions", evicted)
 
     # ------------------------------------------------------------------
     def get(self, key: str) -> Optional[MeasurementSet]:
@@ -264,8 +252,7 @@ class MeasurementCache:
             if cached is not None:
                 self._memory.move_to_end(key)
         if cached is not None:
-            self.stats.memory_hits += 1
-            get_tracer().incr("cache.memory_hits")
+            self.stats.incr("memory_hits")
             return cached
         path = self._disk_path(key)
         if path is not None and path.with_suffix(".npz").exists():
@@ -276,11 +263,9 @@ class MeasurementCache:
                 self._quarantine(key, path, exc)
             else:
                 self._remember(key, measurement)
-                self.stats.disk_hits += 1
-                get_tracer().incr("cache.disk_hits")
+                self.stats.incr("disk_hits")
                 return measurement
-        self.stats.misses += 1
-        get_tracer().incr("cache.misses")
+        self.stats.incr("misses")
         return None
 
     def put(self, key: str, measurement: MeasurementSet) -> None:
@@ -295,8 +280,7 @@ class MeasurementCache:
         re-publishes the same content.
         """
         self._remember(key, measurement)
-        self.stats.stores += 1
-        get_tracer().incr("cache.stores")
+        self.stats.incr("stores")
         path = self._disk_path(key)
         if path is None:
             return
@@ -391,10 +375,12 @@ class MeasurementCache:
 
     def __repr__(self) -> str:
         where = str(self.root) if self.root is not None else "memory-only"
+        stats = self.stats.snapshot()
         return (
             f"MeasurementCache({where}, {len(self._memory)}/"
             f"{self.max_memory_entries} in memory, "
-            f"{self.stats.hits} hits / {self.stats.misses} misses)"
+            f"{stats['memory_hits'] + stats['disk_hits']} hits / "
+            f"{stats['misses']} misses)"
         )
 
 

@@ -23,6 +23,7 @@ from __future__ import annotations
 from repro.obs.render import render_trace, trace_json_digest
 from repro.obs.trace import (
     NULL_TRACER,
+    Counters,
     Span,
     Trace,
     Tracer,
@@ -33,6 +34,7 @@ from repro.obs.trace import (
 
 __all__ = [
     "NULL_TRACER",
+    "Counters",
     "Span",
     "Trace",
     "Tracer",

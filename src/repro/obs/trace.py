@@ -12,6 +12,11 @@ record them:
 * **Counters and gauges** are named totals (``tracer.incr("qrcp.pivots",
   rank)``); every name the repo emits is catalogued in
   ``docs/observability.md``.
+* **Lifetime counters** (:class:`Counters`) are what a long-lived
+  component (the measurement cache, the metric service, the supervisor)
+  counts its events with: a process-lifetime total per declared name for
+  its status endpoint, mirrored into the ambient tracer as
+  ``<prefix>.<name>`` so the trace counts the same events once.
 * **The ambient tracer** (:func:`get_tracer`) is how instrumented code
   finds its destination.  By default it is :data:`NULL_TRACER`, whose
   every operation is a constant-time no-op — the instrumentation hooks
@@ -40,10 +45,11 @@ import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Optional, Union
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Union
 
 __all__ = [
     "NULL_TRACER",
+    "Counters",
     "Span",
     "Trace",
     "Tracer",
@@ -263,6 +269,38 @@ def tracing(
         yield active
     finally:
         stack.pop()
+
+
+class Counters:
+    """Thread-safe lifetime totals over a fixed, declared vocabulary.
+
+    ``incr`` adds to the total and mirrors the same amount into the
+    ambient tracer as ``<prefix>.<name>``, so a status endpoint and a
+    :func:`tracing` scope count each event once, under one name.
+    Declaring the names up front makes :meth:`snapshot` list every
+    counter, zeros included, and turns a misspelt name into a
+    ``KeyError`` instead of a silently new counter.
+    """
+
+    def __init__(self, prefix: str, names: Sequence[str]):
+        self._trace_names = {name: f"{prefix}.{name}" for name in names}
+        self._totals = dict.fromkeys(self._trace_names, 0)
+        self._lock = threading.Lock()
+
+    def incr(self, name: str, n: int = 1) -> int:
+        """Add ``n`` to ``name``, mirror it into the ambient tracer, and
+        return the new lifetime total."""
+        trace_name = self._trace_names[name]  # KeyError when undeclared
+        with self._lock:
+            total = self._totals[name] + n
+            self._totals[name] = total
+        get_tracer().incr(trace_name, n)
+        return total
+
+    def snapshot(self) -> Dict[str, int]:
+        """Every declared counter's total, in declaration order."""
+        with self._lock:
+            return dict(self._totals)
 
 
 def _canonical(payload: Dict[str, Any]) -> str:

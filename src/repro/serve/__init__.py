@@ -76,7 +76,6 @@ from repro.serve.service import (
     ServedMetric,
     ServiceBusy,
     ServiceError,
-    ServiceStats,
     TransportError,
 )
 from repro.serve.shard import (
@@ -115,7 +114,6 @@ __all__ = [
     "ServedMetric",
     "ServiceBusy",
     "ServiceError",
-    "ServiceStats",
     "ServiceSupervisor",
     "ShardRing",
     "ShardUnavailable",

@@ -50,7 +50,7 @@ from repro.core.sweep import (
     SweepTask,
 )
 from repro.guard.validate import ValidationError, require_int
-from repro.obs import get_tracer
+from repro.obs import Counters, get_tracer
 from repro.serve.catalog import (
     CatalogEntry,
     MetricCatalogStore,
@@ -64,7 +64,6 @@ __all__ = [
     "ServedMetric",
     "ServiceBusy",
     "ServiceError",
-    "ServiceStats",
     "TransportError",
     "catalog_key",
     "serving_config",
@@ -196,30 +195,20 @@ def catalog_key(
     )
 
 
-@dataclass
-class ServiceStats:
-    """Liveness counters exposed on the health endpoint."""
-
-    requests: int = 0
-    coalesced: int = 0
-    catalog_hits: int = 0
-    pipeline_runs: int = 0
-    batches: int = 0
-    rejected: int = 0
-    errors: int = 0
-    stale_served: int = 0
-
-    def to_payload(self) -> Dict[str, int]:
-        return {
-            "requests": self.requests,
-            "coalesced": self.coalesced,
-            "catalog_hits": self.catalog_hits,
-            "pipeline_runs": self.pipeline_runs,
-            "batches": self.batches,
-            "rejected": self.rejected,
-            "errors": self.errors,
-            "stale_served": self.stale_served,
-        }
+#: The service's lifetime counters (``/healthz`` ``stats``; traced as
+#: ``serve.<name>``).
+SERVICE_COUNTERS = (
+    "requests",
+    "coalesced",
+    "catalog_hits",
+    "pipeline_runs",
+    "batches",
+    "rejected",
+    "errors",
+    "stale_served",
+    "refreshes",
+    "catalog_store_errors",
+)
 
 
 @dataclass(frozen=True)
@@ -275,11 +264,9 @@ class MetricService:
     cache_dir:
         Shared on-disk measurement cache for the pipeline runs (None
         keeps caching in-memory per worker).
-    retries / task_timeout:
+    retries:
         Passed to the :class:`SweepEngine` (bounded retry of crashed or
-        injected-fault attempts; per-task timeout needs a pool executor
-        and is therefore only honoured when ``engine_executor`` is not
-        serial).
+        injected-fault attempts).
     stale_max_age:
         Graceful-degradation gate: when the dispatch queue is full, an
         unfaulted request whose metrics exist in the catalog (any
@@ -300,7 +287,6 @@ class MetricService:
         batch_size: int = 4,
         cache_dir: Optional[str] = None,
         retries: int = 1,
-        task_timeout: Optional[float] = None,
         stale_max_age: Optional[float] = None,
         runner=None,
     ):
@@ -313,14 +299,9 @@ class MetricService:
         self.batch_size = batch_size
         self.cache_dir = cache_dir
         self.retries = retries
-        self.task_timeout = task_timeout
         self.stale_max_age = stale_max_age
-        self.stats = ServiceStats()
-        self._engine = SweepEngine(
-            executor="serial",
-            task_timeout=task_timeout,
-            max_retries=retries,
-        )
+        self.stats = Counters("serve", SERVICE_COUNTERS)
+        self._engine = SweepEngine(executor="serial", max_retries=retries)
         self._runner = runner if runner is not None else self._run_batch
         self._pool: Optional[ThreadPoolExecutor] = None
         self._queue: Optional["asyncio.Queue[_Job]"] = None
@@ -408,7 +389,7 @@ class MetricService:
             "workers": self.workers,
             "queue_depth": self._queue.qsize() if self._queue else 0,
             "queue_limit": self.queue_limit,
-            "stats": self.stats.to_payload(),
+            "stats": self.stats.snapshot(),
             "counters": dict(get_tracer().counters),
             "catalog": self.store is not None,
         }
@@ -457,15 +438,12 @@ class MetricService:
     async def _serve(self, request: AnalysisRequest) -> Dict[str, ServedMetric]:
         if not self._started:
             raise ServiceError(503, {"error": "service is not started"})
-        tracer = get_tracer()
-        self.stats.requests += 1
-        tracer.incr("serve.requests")
+        self.stats.incr("requests")
 
         if request.faults is None:
             cataloged = self._from_catalog(request)
             if cataloged is not None:
-                self.stats.catalog_hits += 1
-                tracer.incr("serve.catalog_hits")
+                self.stats.incr("catalog_hits")
                 return {
                     name: ServedMetric(entry=entry, source="catalog")
                     for name, entry in cataloged.items()
@@ -473,8 +451,7 @@ class MetricService:
 
         job = self._inflight.get(request.key)
         if job is not None:
-            self.stats.coalesced += 1
-            tracer.incr("serve.coalesced")
+            self.stats.incr("coalesced")
         else:
             job = _Job(request=request, future=asyncio.get_running_loop().create_future())
             assert self._queue is not None
@@ -486,11 +463,9 @@ class MetricService:
                     # Graceful degradation: a saturated service answers
                     # with the newest stored definition, explicitly
                     # marked stale, instead of turning load into 429s.
-                    self.stats.stale_served += 1
-                    tracer.incr("serve.stale_served")
+                    self.stats.incr("stale_served")
                     return stale
-                self.stats.rejected += 1
-                tracer.incr("serve.rejected")
+                self.stats.incr("rejected")
                 raise ServiceBusy(self.queue_limit) from None
             self._inflight[request.key] = job
         outcome = await asyncio.shield(job.future)
@@ -622,7 +597,7 @@ class MetricService:
                 self.store, node, wanted, registry=registry, configs=configs
             ),
         )
-        get_tracer().incr("serve.refreshes")
+        self.stats.incr("refreshes")
         return report
 
     # -- dispatch ------------------------------------------------------
@@ -637,8 +612,7 @@ class MetricService:
                     batch.append(self._queue.get_nowait())
                 except asyncio.QueueEmpty:
                     break
-            self.stats.batches += 1
-            get_tracer().incr("serve.batches")
+            self.stats.incr("batches")
             tasks = [self._task_for(j.request) for j in batch]
             try:
                 outcomes = await loop.run_in_executor(
@@ -692,10 +666,8 @@ class MetricService:
 
     def _resolve(self, job: _Job, outcome: Optional[SweepOutcome]) -> None:
         """Turn one engine outcome into the job's resolution (loop thread)."""
-        tracer = get_tracer()
         if outcome is None or not outcome.ok:
-            self.stats.errors += 1
-            tracer.incr("serve.errors")
+            self.stats.incr("errors")
             payload: Dict[str, Any] = {
                 "error": outcome.error if outcome else "analysis produced no outcome",
                 "error_type": outcome.error_type if outcome else None,
@@ -711,8 +683,7 @@ class MetricService:
                 payload["traceback"] = outcome.traceback
             self._resolve_error(job, ServiceError(500, payload))
             return
-        self.stats.pipeline_runs += 1
-        tracer.incr("serve.pipeline_runs")
+        self.stats.incr("pipeline_runs")
         result = outcome.result
         arch, _, events_digest, dependencies = catalog_key(
             job.request.system, job.request.domain, job.request.seed
@@ -745,7 +716,7 @@ class MetricService:
                 # A sick catalog disk (or a down shard) must not fail a
                 # successful analysis: serve the computed (unpersisted)
                 # entries and count the store failure loudly.
-                tracer.incr("serve.catalog_store_errors")
+                self.stats.incr("catalog_store_errors")
         self._inflight.pop(job.request.key, None)
         if not job.future.done():
             job.future.set_result(entries)

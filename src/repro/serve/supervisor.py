@@ -18,12 +18,12 @@ publication, torn-tail-tolerant logs) — behind one front listener:
   slot that restarts more than ``restart_intensity`` times within
   ``restart_window`` seconds is marked *failed* and left down — a
   crash-looping worker must not burn the machine.  Counter:
-  ``serve.restarts`` / ``serve.worker_failed``.
+  ``supervisor.restarts`` / ``supervisor.worker_failed``.
 * **Re-dispatch of in-flight requests.**  The front proxies each
   request to a live worker round-robin; a transport failure mid-request
   (the worker died under it) re-dispatches the same request to the next
   live worker — safe because every request is idempotent under the
-  service's coalescing identity.  Counter: ``serve.redispatch``.
+  service's coalescing identity.  Counter: ``supervisor.redispatches``.
 * **Graceful degradation.**  With zero live workers (all crashed or
   restarting), ``/v1/metric`` reads are answered from the supervisor's
   own read-only view of the catalog, stamped ``stale=True`` and gated
@@ -56,19 +56,33 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Deque, Dict, List, Optional, Tuple
 
-from repro.obs import get_tracer
+from repro.obs import Counters
 from repro.serve.catalog import FsckReport
 from repro.serve.http import (
     parse_analyze_body,
     parse_metric_target,
     serve_connection,
 )
-from repro.serve.service import TransportError, catalog_key
+from repro.serve.service import ServedMetric, TransportError, catalog_key
 from repro.serve.shard import ShardedCatalogStore, open_catalog
 
 __all__ = ["ServiceSupervisor", "SupervisorConfig", "SupervisorServer"]
 
 logger = logging.getLogger(__name__)
+
+#: The supervisor's lifetime counters: top-level keys of ``status()``,
+#: traced as ``supervisor.<name>``.
+SUPERVISOR_COUNTERS = (
+    "dispatched",
+    "redispatches",
+    "stale_fallbacks",
+    "front_serves",
+    "restarts",
+    "hang_kills",
+    "worker_failed",
+    "affinity_hits",
+    "affinity_fallbacks",
+)
 
 
 @dataclass(frozen=True)
@@ -94,7 +108,6 @@ class SupervisorConfig:
     service_queue_limit: int = 16
     service_batch_size: int = 4
     service_retries: int = 1
-    service_task_timeout: Optional[float] = None
     stale_max_age: Optional[float] = None
     #: Consistent-hash shard count for a *new* catalog root (0 =
     #: unsharded); a root that already has ``shards.json`` opens with its
@@ -164,7 +177,6 @@ def _worker_entry(
         batch_size=config["service_batch_size"],
         cache_dir=cache_dir,
         retries=config["service_retries"],
-        task_timeout=config["service_task_timeout"],
         stale_max_age=config["stale_max_age"],
     )
     server = HttpMetricServer(
@@ -239,10 +251,7 @@ class ServiceSupervisor:
         self._monitor: Optional[threading.Thread] = None
         self._stopping = threading.Event()
         self._lock = threading.Lock()
-        self._dispatched = 0
-        self._redispatches = 0
-        self._stale_fallbacks = 0
-        self._front_serves = 0
+        self.stats = Counters("supervisor", SUPERVISOR_COUNTERS)
         # Coalescing identity -> [slot index, in-flight count]: identical
         # concurrent analyses stick to one worker (see dispatch).
         self._sticky: Dict[Tuple, List[Any]] = {}
@@ -312,7 +321,6 @@ class ServiceSupervisor:
             "service_queue_limit": self.config.service_queue_limit,
             "service_batch_size": self.config.service_batch_size,
             "service_retries": self.config.service_retries,
-            "service_task_timeout": self.config.service_task_timeout,
             "stale_max_age": self.config.stale_max_age,
             "heartbeat_interval": self.config.heartbeat_interval,
         }
@@ -359,7 +367,7 @@ class ServiceSupervisor:
             slot.restarts.popleft()
         if len(slot.restarts) > self.config.restart_intensity:
             slot.state = "failed"
-            get_tracer().incr("serve.worker_failed")
+            self.stats.incr("worker_failed")
             logger.error(
                 "worker %d blew the restart budget (%d in %.0fs); leaving down",
                 slot.index,
@@ -374,7 +382,7 @@ class ServiceSupervisor:
         slot.state = "backoff"
         slot.restart_at = now + backoff
         slot.total_restarts += 1
-        get_tracer().incr("serve.restarts")
+        self.stats.incr("restarts")
 
     def _monitor_loop(self) -> None:
         interval = self.config.heartbeat_interval
@@ -405,7 +413,7 @@ class ServiceSupervisor:
                         slot.index,
                         now - beat,
                     )
-                    get_tracer().incr("serve.hang_kills")
+                    self.stats.incr("hang_kills")
                     self._schedule_restart(slot)
 
     # -- dispatch ------------------------------------------------------
@@ -492,13 +500,8 @@ class ServiceSupervisor:
             return None
         if entry is None:
             return None
-        with self._lock:
-            self._front_serves += 1
-        get_tracer().incr("shard.front_serves")
-        payload = entry.to_payload()
-        payload["source"] = "catalog"
-        payload["stale"] = False
-        return payload
+        self.stats.incr("front_serves")
+        return ServedMetric(entry=entry, source="catalog").to_payload()
 
     async def dispatch(
         self, method: str, target: str, body: bytes, *, timeout: float = 60.0
@@ -536,9 +539,7 @@ class ServiceSupervisor:
                     preferred = held[0]
         try:
             for attempt in range(self.config.dispatch_attempts):
-                with self._lock:
-                    self._dispatched += 1
-                    n = self._dispatched
+                n = self.stats.incr("dispatched")
                 live = self._live_slots()
                 if not live:
                     await asyncio.sleep(self.config.heartbeat_interval)
@@ -549,10 +550,10 @@ class ServiceSupervisor:
                 if preferred is not None and attempt == 0:
                     slot = next((s for s in live if s.index == preferred), None)
                     if slot is not None:
-                        get_tracer().incr("shard.affinity_hits")
+                        self.stats.incr("affinity_hits")
                 if slot is None:
                     if preferred is not None:
-                        get_tracer().incr("shard.affinity_fallbacks")
+                        self.stats.incr("affinity_fallbacks")
                     slot = live[n % len(live)]
                 if sticky is not None and not registered:
                     # Publish where this analysis runs so identical
@@ -580,9 +581,7 @@ class ServiceSupervisor:
                     )
                 except TransportError as exc:
                     last_error = exc
-                    with self._lock:
-                        self._redispatches += 1
-                    get_tracer().incr("serve.redispatch")
+                    self.stats.incr("redispatches")
                     continue
         finally:
             if registered:
@@ -627,13 +626,10 @@ class ServiceSupervisor:
         if found is None:
             return None
         entry, age = found
-        with self._lock:
-            self._stale_fallbacks += 1
-        get_tracer().incr("serve.stale_served")
-        payload = entry.to_payload()
-        payload["source"] = "catalog"
-        payload["stale"] = True
-        payload["stale_age_seconds"] = age
+        self.stats.incr("stale_fallbacks")
+        payload = ServedMetric(
+            entry=entry, source="catalog", stale=True, stale_age=age
+        ).to_payload()
         payload["degraded"] = "no live workers"
         return payload
 
@@ -660,10 +656,7 @@ class ServiceSupervisor:
         return {
             "workers": workers,
             "live": len(self._live_slots()),
-            "dispatched": self._dispatched,
-            "redispatches": self._redispatches,
-            "stale_fallbacks": self._stale_fallbacks,
-            "front_serves": self._front_serves,
+            **self.stats.snapshot(),
             "fsck": (
                 dataclasses.asdict(self.fsck_report)
                 if self.fsck_report is not None

@@ -124,8 +124,8 @@ class TestPipelineCacheIdentity:
             "branch", node, config=config, cache=cache
         ).run()
         # The second run hits the cache and skips measurement entirely.
-        assert cache.stats.misses == 1
-        assert cache.stats.memory_hits == 1
+        assert cache.stats.snapshot()["misses"] == 1
+        assert cache.stats.snapshot()["memory_hits"] == 1
         assert second.measurement is first.measurement
         for result in (first, second):
             assert np.array_equal(
@@ -148,5 +148,5 @@ class TestPipelineCacheIdentity:
         b = AnalysisPipeline.for_domain(
             "branch", aurora_node(seed=2), config=config, cache=cache
         ).run()
-        assert cache.stats.misses == 2  # no false sharing across seeds
+        assert cache.stats.snapshot()["misses"] == 2  # no false sharing across seeds
         assert not np.array_equal(a.measurement.data, b.measurement.data)

@@ -69,8 +69,8 @@ class TestMeasurementCache:
         assert cache.get(key) is None
         cache.put(key, measurement)
         assert cache.get(key) is measurement
-        assert cache.stats.memory_hits == 1
-        assert cache.stats.misses == 1
+        assert cache.stats.snapshot()["memory_hits"] == 1
+        assert cache.stats.snapshot()["misses"] == 1
 
     def test_lru_eviction(self, measurement):
         cache = MeasurementCache(max_memory_entries=2)
@@ -89,10 +89,10 @@ class TestMeasurementCache:
             cache = MeasurementCache(max_memory_entries=2)
             cache.put("a" * 64, measurement)
             cache.put("b" * 64, measurement)
-            assert cache.stats.evictions == 0
+            assert cache.stats.snapshot()["evictions"] == 0
             cache.put("c" * 64, measurement)  # displaces "a"
             cache.put("d" * 64, measurement)  # displaces "b"
-            assert cache.stats.evictions == 2
+            assert cache.stats.snapshot()["evictions"] == 2
             assert tracer.counters.get("cache.evictions") == 2
         # Memory-only hits/misses also flow through the obs counters.
         with tracing(seed=0) as tracer:
@@ -100,8 +100,8 @@ class TestMeasurementCache:
             cache.get("e" * 64)
             cache.put("e" * 64, measurement)
             cache.get("e" * 64)
-            assert cache.stats.memory_hits == 1
-            assert cache.stats.misses == 1
+            assert cache.stats.snapshot()["memory_hits"] == 1
+            assert cache.stats.snapshot()["misses"] == 1
             assert tracer.counters.get("cache.memory_hits") == 1
             assert tracer.counters.get("cache.misses") == 1
 
@@ -111,7 +111,7 @@ class TestMeasurementCache:
         cache.put(key, measurement)
         cache.clear()
         loaded = cache.get(key)
-        assert cache.stats.disk_hits == 1
+        assert cache.stats.snapshot()["disk_hits"] == 1
         assert np.array_equal(loaded.data, measurement.data)
         assert loaded.event_names == measurement.event_names
         assert loaded.pmu_runs == measurement.pmu_runs

@@ -42,7 +42,7 @@ class TestChecksums:
         loaded = cache.get(key)
         assert loaded is not None
         np.testing.assert_array_equal(loaded.data, m.data)
-        assert cache.stats.corrupt == 0
+        assert cache.stats.snapshot()["corrupt"] == 0
 
     def test_legacy_entry_without_checksum_still_loads(
         self, tmp_path, keyed_measurement
@@ -67,7 +67,7 @@ class TestQuarantine:
 
         fresh = MeasurementCache(root=tmp_path)
         assert fresh.get(key) is None
-        assert fresh.stats.corrupt == 1
+        assert fresh.stats.snapshot()["corrupt"] == 1
         assert fresh.quarantined == [key]
         # Evidence preserved, entry gone from the main tree.
         assert list((tmp_path / "quarantine").iterdir())
@@ -136,7 +136,7 @@ class TestFsck:
         cache = MeasurementCache(root=tmp_path)
         cache.put(key, m)
         assert cache.verify_all() == []
-        assert cache.stats.corrupt == 0
+        assert cache.stats.snapshot()["corrupt"] == 0
 
     def test_verify_all_on_memory_only_cache(self):
         assert MeasurementCache().verify_all() == []

@@ -225,9 +225,10 @@ class TestShardedTierDrill:
             assert report.requests == 12
             # Shard-affinity routing actually routed: every request has
             # a catalog key, so every dispatch had a preferred worker.
-            assert tracer.counters["shard.affinity_hits"] >= 1
+            assert tracer.counters["supervisor.affinity_hits"] >= 1
         status = report.supervisor_status
         assert status is not None and status["live"] == 2
+        assert status["affinity_hits"] >= 1
         # Hot keyed reads were answered by the dispatcher's replica-
         # fronted catalog view without a worker hop.
         assert status["front_serves"] >= 1

@@ -87,8 +87,8 @@ class TestCoalescing:
                 service.analyze("aurora", "branch", seed=7),
                 service.analyze("aurora", "branch", seed=8),
             )
-            assert service.stats.pipeline_runs == 2
-            assert service.stats.coalesced == 0
+            assert service.stats.snapshot()["pipeline_runs"] == 2
+            assert service.stats.snapshot()["coalesced"] == 0
 
         run_async(_with_service(body, cache_dir=str(tmp_path / "cache")))
 
@@ -183,7 +183,7 @@ class TestBackpressure:
             with pytest.raises(ServiceBusy) as err:
                 await service.analyze("aurora", "branch", seed=9)
             assert err.value.status == 429
-            assert service.stats.rejected == 1
+            assert service.stats.snapshot()["rejected"] == 1
             release.set()
             await asyncio.gather(first, second)
 
@@ -222,8 +222,8 @@ class TestBackpressure:
             # Queue is full, but an identical request coalesces fine.
             rider = asyncio.ensure_future(service.analyze("aurora", "branch", seed=7))
             await asyncio.sleep(0)
-            assert service.stats.coalesced == 1
-            assert service.stats.rejected == 0
+            assert service.stats.snapshot()["coalesced"] == 1
+            assert service.stats.snapshot()["rejected"] == 0
             release.set()
             await asyncio.gather(first, blocker, rider)
 
@@ -278,7 +278,7 @@ class TestFaultTransparency:
                 await service.analyze(
                     "aurora", "branch", seed=7, faults="crash=1.0"
                 )
-            assert service.stats.catalog_hits == 0
+            assert service.stats.snapshot()["catalog_hits"] == 0
 
         run_async(
             _with_service(
@@ -350,6 +350,8 @@ class TestLifecycle:
                 "rejected",
                 "errors",
                 "stale_served",
+                "refreshes",
+                "catalog_store_errors",
             }
             assert isinstance(health["counters"], dict)
 
@@ -373,6 +375,7 @@ class TestRefreshHook:
         async def body(service):
             report = await service.refresh("aurora", seed=7, domains=["branch"])
             assert {d for d, _ in report.refreshed} == {"branch"}
+            assert service.health()["stats"]["refreshes"] == 1
             served = await service.analyze("aurora", "branch", seed=7)
             assert {m.source for m in served.values()} == {"catalog"}
             again = await service.refresh("aurora", seed=7, domains=["branch"])
@@ -592,7 +595,7 @@ class TestStaleDegradation:
                 payload = metric.to_payload()
                 assert payload["stale"] is True
                 assert payload["stale_age_seconds"] >= 0.0
-            assert service.stats.stale_served == 1
+            assert service.stats.snapshot()["stale_served"] == 1
             assert trace.counters["serve.stale_served"] == 1
             await service.stop(drain_timeout=0.5)
 
@@ -607,7 +610,7 @@ class TestStaleDegradation:
             with pytest.raises(ServiceBusy):
                 await service.analyze("aurora", "branch")
             release.set()
-            assert service.stats.stale_served == 0
+            assert service.stats.snapshot()["stale_served"] == 0
             await service.stop(drain_timeout=0.5)
 
         run_async(body())

@@ -104,6 +104,7 @@ class TestSupervisedServing:
             )
             assert recovered, "killed worker did not restart within budget"
             assert supervisor.status()["workers"][0]["restarts"] >= 1
+            assert supervisor.status()["restarts"] >= 1
 
             # 3. Total outage: the key the pool published still carries
             # full freshness evidence, so the dispatcher's front-replica
@@ -289,7 +290,7 @@ class TestSupervisedServing:
             assert answer["metric"] == METRIC
             assert answer["stale"] is False
             assert answer["source"] == "catalog"
-            assert tracer.counters["shard.front_serves"] == 1
+            assert tracer.counters["supervisor.front_serves"] == 1
         assert supervisor.status()["front_serves"] == 1
 
         # Drifted registry evidence is a miss, not a wrong answer.
