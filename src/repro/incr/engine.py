@@ -159,10 +159,6 @@ def refresh_catalog(
                 node.name,
                 signature.name,
                 config_digest,
-                # Entries with a recorded dependency map are checked
-                # against it; legacy entries fall back to the coarse
-                # whole-registry digest (stale on any edit, then
-                # recomputed with the map — a one-refresh migration).
                 events_digest=full_digest,
                 event_digests=dependencies,
             )

@@ -25,11 +25,14 @@ Storage layout (all writes atomic: staged file + ``os.replace``)::
 
 Invalidation: the config digest is part of the key, so a changed
 threshold simply misses.  A changed *event registry* would silently serve
-stale definitions — so every entry records its ``events_digest`` and the
-read APIs take the current registry digest; a mismatch is reported as a
-miss (and counted on the ``catalog.invalidated`` counter) instead of a
-hit.  History is never destroyed: invalidation is a read-side decision,
-the version log keeps the full record.
+stale definitions — so every entry records the registry evidence it was
+derived from (the whole-registry ``events_digest`` and the per-event
+``event_digests`` of its domain), and :meth:`CatalogEntry.staleness` is
+the one rule every reader applies to the caller's current evidence; a
+stale entry is reported as a miss (and counted on the
+``catalog.invalidated`` counter) instead of a hit.  History is never
+destroyed: invalidation is a read-side decision, the version log keeps
+the full record.
 """
 
 from __future__ import annotations
@@ -129,9 +132,7 @@ class CatalogEntry:
     #: Per-event dependency digests: ``full name -> content digest`` of
     #: every registry event this entry's analysis *could* have consumed
     #: (the whole measured domain, not just the selected events — an
-    #: added event can change the selection).  Empty on entries written
-    #: before dependency tracking; those fall back to the coarse
-    #: whole-registry ``events_digest`` check.
+    #: added event can change the selection).
     event_digests: Dict[str, str] = field(default_factory=dict)
     #: Counter-validation evidence (the ``repro.vet`` stamp payload:
     #: per-composing-event verdicts, prior-excluded events, campaign
@@ -163,27 +164,50 @@ class CatalogEntry:
         return self.health.guards_fired if self.health is not None else ()
 
     def content_digest(self) -> str:
-        """Content address over everything except the assigned version
+        """Content address over the payload minus the assigned version
         and the trace digest — trace exports carry wall-clock stage
         timings, so two bit-identical analyses trace differently; lineage
         must not defeat dedup."""
         payload = self.to_payload()
-        payload.pop("version")
-        payload.pop("trace_digest", None)
-        payload.pop("content_digest", None)
-        if not payload.get("event_digests"):
-            # Entries without dependency tracking hash exactly as they
-            # did before the field existed (stored catalogs keep dedup).
-            payload.pop("event_digests", None)
-        if not payload.get("vet"):
-            # Same back-compat rule for the validation stamp: entries from
-            # prior-free runs hash exactly as they did before the field.
-            payload.pop("vet", None)
-        if not payload.get("provenance"):
-            # And for ingestion provenance: simulated-run entries hash
-            # exactly as they did before ingestion existed.
-            payload.pop("provenance", None)
+        del payload["version"], payload["trace_digest"]
         return json_digest(payload, length=16)
+
+    def staleness(
+        self,
+        events_digest: Optional[str] = None,
+        event_digests: Optional[Dict[str, str]] = None,
+    ) -> Optional[str]:
+        """Why this entry is stale against the caller's registry
+        evidence, or None when it is fresh — the catalog's one freshness
+        rule, shared by disk reads, shard replicas and drift tooling.
+
+        The entry is fresh when the caller's whole-registry digest
+        equals the recorded ``events_digest``, or its dependency map
+        equals the recorded ``event_digests`` (an edit elsewhere in the
+        registry must not invalidate).  With no evidence it is fresh.
+        The reason names the first added (``+``), removed (``-``) or
+        changed (``~``) events and their total.
+        """
+        if (
+            events_digest == self.events_digest
+            or event_digests == self.event_digests
+        ):
+            return None
+        if event_digests is None:
+            return None if events_digest is None else "event registry changed"
+        recorded = self.event_digests
+        moved = sorted(
+            name
+            for name in recorded.keys() | event_digests.keys()
+            if recorded.get(name) != event_digests.get(name)
+        )
+        sample = ", ".join(
+            ("-" if name not in event_digests else "~" if name in recorded else "+")
+            + name
+            for name in moved[:3]
+        )
+        more = ", ..." if len(moved) > 3 else ""
+        return f"{len(moved)} event digest(s) differ: {sample}{more}"
 
     def definition(self) -> "MetricDefinition":
         """Reconstruct the definition, coefficient bytes and trust stamp
@@ -676,18 +700,11 @@ class MetricCatalogStore:
     ) -> Optional[CatalogEntry]:
         """One stored version (the latest when ``version`` is None).
 
-        With ``events_digest``, an entry recorded against a *different*
-        event registry is stale: it is reported as a miss and counted on
-        ``catalog.invalidated`` — serving a definition whose raw events
-        no longer exist (or measure differently) would be silent poison.
-
-        ``event_digests`` refines that check to the entry's recorded
-        dependency set: an entry that tracks per-event digests is fresh
-        exactly when the current map equals the recorded one, regardless
-        of edits elsewhere in the registry (the whole point of
-        dependency tracking — an unrelated edit must not invalidate).
-        Entries without a recorded map fall back to the coarse
-        whole-registry comparison.
+        With freshness evidence (``events_digest`` and/or
+        ``event_digests``), a stale entry (:meth:`CatalogEntry.staleness`)
+        is reported as a miss and counted on ``catalog.invalidated`` —
+        serving a definition whose raw events no longer exist (or
+        measure differently) would be silent poison.
         """
         entry_dir = self._entry_dir(arch, metric, config_digest)
         if version is None:
@@ -700,11 +717,7 @@ class MetricCatalogStore:
         if entry is None:
             get_tracer().incr("catalog.misses")
             return None
-        if event_digests is not None and entry.event_digests:
-            if dict(entry.event_digests) != dict(event_digests):
-                get_tracer().incr("catalog.invalidated")
-                return None
-        elif events_digest is not None and entry.events_digest != events_digest:
+        if entry.staleness(events_digest, event_digests) is not None:
             get_tracer().incr("catalog.invalidated")
             return None
         get_tracer().incr("catalog.hits")

@@ -47,10 +47,11 @@ from repro.serve.supervisor import (
 __all__ = ["ChaosReport", "definition_digest", "run_chaos_drill"]
 
 #: Serving metadata: everything about *how* an answer was served rather
-#: than *what* the metric definition is.  ``version`` is store-assigned,
-#: ``trace_digest`` carries wall-clock lineage, ``event_digests`` may be
-#: empty on unstored entries — mirroring
-#: :meth:`CatalogEntry.content_digest`'s exclusions.
+#: than *what* the metric definition is.  ``version`` is store-assigned
+#: and ``trace_digest`` carries wall-clock lineage (the two keys
+#: :meth:`CatalogEntry.content_digest` also drops); ``event_digests`` is
+#: freshness evidence, absent from definitions computed without a
+#: dependency map, so equal definitions digest equal either way.
 _VOLATILE_KEYS = (
     "source",
     "stale",
@@ -58,7 +59,6 @@ _VOLATILE_KEYS = (
     "degraded",
     "version",
     "trace_digest",
-    "content_digest",
     "event_digests",
 )
 

@@ -66,6 +66,7 @@ __all__ = [
     "ServiceError",
     "TransportError",
     "catalog_key",
+    "catalog_read",
     "serving_config",
 ]
 
@@ -193,6 +194,48 @@ def catalog_key(
         node.events.content_digest(),
         domain_event_digests(node.events, domain),
     )
+
+
+def catalog_read(
+    store: MetricCatalogStore,
+    key: Tuple[str, str, str, Dict[str, str]],
+    metrics: Sequence[str],
+    stale_max_age: Optional[float] = None,
+) -> Optional[Dict[str, ServedMetric]]:
+    """The one keyed catalog read of a served analysis: ``metrics`` under
+    ``key`` (a :func:`catalog_key` result), or None when any of them
+    misses.
+
+    With ``stale_max_age=None`` the read is fresh (staleness-checked
+    against the key's evidence); a number makes it the degraded-mode
+    read — the newest loadable versions no older than that many
+    seconds, freshness waived, marked stale.  Store errors propagate:
+    each caller keeps its own policy.
+    """
+    arch, config_digest, events_digest, dependencies = key
+    served: Dict[str, ServedMetric] = {}
+    for metric in metrics:
+        if stale_max_age is None:
+            entry = store.latest(
+                arch,
+                metric,
+                config_digest,
+                events_digest=events_digest,
+                event_digests=dependencies,
+            )
+            if entry is None:
+                return None
+            served[metric] = ServedMetric(entry=entry, source="catalog")
+        else:
+            found = store.stale_latest(
+                arch, metric, config_digest, max_age=stale_max_age
+            )
+            if found is None:
+                return None
+            served[metric] = ServedMetric(
+                entry=found[0], source="catalog", stale=True, stale_age=found[1]
+            )
+    return served
 
 
 #: The service's lifetime counters (``/healthz`` ``stats``; traced as
@@ -440,14 +483,10 @@ class MetricService:
             raise ServiceError(503, {"error": "service is not started"})
         self.stats.incr("requests")
 
-        if request.faults is None:
-            cataloged = self._from_catalog(request)
-            if cataloged is not None:
-                self.stats.incr("catalog_hits")
-                return {
-                    name: ServedMetric(entry=entry, source="catalog")
-                    for name, entry in cataloged.items()
-                }
+        cataloged = self._from_catalog(request)
+        if cataloged is not None:
+            self.stats.incr("catalog_hits")
+            return cataloged
 
         job = self._inflight.get(request.key)
         if job is not None:
@@ -458,7 +497,9 @@ class MetricService:
             try:
                 self._queue.put_nowait(job)
             except asyncio.QueueFull:
-                stale = self._stale_from_catalog(request)
+                stale = None
+                if self.stale_max_age is not None:
+                    stale = self._read_catalog(request, self.stale_max_age)
                 if stale is not None:
                     # Graceful degradation: a saturated service answers
                     # with the newest stored definition, explicitly
@@ -478,70 +519,33 @@ class MetricService:
 
     def _from_catalog(
         self, request: AnalysisRequest
-    ) -> Optional[Dict[str, CatalogEntry]]:
-        """Every metric of the requested domain, from the store — or None
-        when any expected metric is missing or stale."""
-        if self.store is None:
-            return None
-        from repro.core.signatures import signatures_for
-        from repro.serve.shard import ShardUnavailable
-
-        arch, config_digest, events_digest, dependencies = catalog_key(
-            request.system, request.domain, request.seed
-        )
-        entries: Dict[str, CatalogEntry] = {}
-        for signature in signatures_for(request.domain):
-            try:
-                entry = self.store.latest(
-                    arch,
-                    signature.name,
-                    config_digest,
-                    events_digest=events_digest,
-                    event_digests=dependencies,
-                )
-            except ShardUnavailable:
-                # The shard owning this metric is down: treat as a miss
-                # and recompute — the service can still answer fresh.
-                return None
-            if entry is None:
-                return None
-            entries[signature.name] = entry
-        return entries
-
-    def _stale_from_catalog(
-        self, request: AnalysisRequest
     ) -> Optional[Dict[str, ServedMetric]]:
-        """Degraded-mode read: every metric of the domain from the
-        newest loadable stored versions, freshness checks waived, gated
-        by ``stale_max_age`` — or None when disabled, faulted, or any
-        metric is missing/too old (the caller then fails loudly)."""
-        if (
-            self.store is None
-            or self.stale_max_age is None
-            or request.faults is not None
-        ):
+        """The fresh catalog read of every metric of the requested domain."""
+        return self._read_catalog(request, None)
+
+    def _read_catalog(
+        self, request: AnalysisRequest, stale_max_age: Optional[float]
+    ) -> Optional[Dict[str, ServedMetric]]:
+        """Every metric of the requested domain through
+        :func:`catalog_read` (fresh, or stale within ``stale_max_age``) —
+        or None when the store is absent, the request is faulted, or any
+        metric is missing or stale (the caller then runs or rejects)."""
+        if self.store is None or request.faults is not None:
             return None
         from repro.core.signatures import signatures_for
         from repro.serve.shard import ShardUnavailable
 
-        arch, config_digest, _, _ = catalog_key(
-            request.system, request.domain, request.seed
-        )
-        served: Dict[str, ServedMetric] = {}
-        for signature in signatures_for(request.domain):
-            try:
-                found = self.store.stale_latest(
-                    arch, signature.name, config_digest, max_age=self.stale_max_age
-                )
-            except ShardUnavailable:
-                return None
-            if found is None:
-                return None
-            entry, age = found
-            served[signature.name] = ServedMetric(
-                entry=entry, source="catalog", stale=True, stale_age=age
+        try:
+            return catalog_read(
+                self.store,
+                catalog_key(request.system, request.domain, request.seed),
+                [signature.name for signature in signatures_for(request.domain)],
+                stale_max_age=stale_max_age,
             )
-        return served
+        except ShardUnavailable:
+            # The shard owning a metric is down: treat as a miss — the
+            # service can still answer fresh by recomputing.
+            return None
 
     # -- incremental refresh ---------------------------------------------
     async def refresh(

@@ -39,11 +39,12 @@ catalog stores look like one:
   :class:`ShardUnavailable` (HTTP 503, retryable) for *its* keys, while
   every other shard keeps serving; listings skip it and record it in
   ``degraded_shards`` (``shard.degraded_reads``).
-* **Read replicas** — hot ``latest`` reads are replicated into a small
-  in-memory LRU; a replica is served only while its recorded
-  events-registry digest (or per-event dependency map) still matches
-  the caller's, so a registry edit invalidates replicas by the exact
-  mechanism the catalog already uses for disk reads
+* **Read replicas** — hot evidence-checked ``latest`` reads are
+  replicated into a small in-memory LRU; every hit re-checks the cached
+  entry against the caller's evidence with the same
+  :meth:`~repro.serve.catalog.CatalogEntry.staleness` rule a disk read
+  applies, so a registry edit that stales the entry invalidates its
+  replica and an unrelated edit keeps it warm
   (``shard.replica_hits`` / ``shard.replica_invalidations``).
 
 The topology is persisted in ``<root>/shards.json`` so a reader can
@@ -61,7 +62,6 @@ import json
 import threading
 from bisect import bisect_left
 from collections import OrderedDict
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import (
     Callable,
@@ -218,15 +218,6 @@ class ShardRing:
         return {name: count / total for name, count in shares.items()}
 
 
-@dataclass
-class _Replica:
-    """One replicated entry plus the freshness evidence it was read under."""
-
-    entry: CatalogEntry
-    events_digest: Optional[str]
-    event_digests: Optional[Dict[str, str]]
-
-
 class ShardedCatalogStore:
     """N per-shard :class:`MetricCatalogStore` roots behind one ring.
 
@@ -283,7 +274,9 @@ class ShardedCatalogStore:
         #: Shards the most recent fan-out had to skip (down or erroring).
         self.degraded_shards: Tuple[str, ...] = ()
         self._replica_capacity = replica_capacity
-        self._replicas: "OrderedDict[Tuple[str, str, str], _Replica]" = OrderedDict()
+        self._replicas: "OrderedDict[Tuple[str, str, str], CatalogEntry]" = (
+            OrderedDict()
+        )
         self._replica_lock = threading.Lock()
 
     # -- topology ------------------------------------------------------
@@ -376,39 +369,21 @@ class ShardedCatalogStore:
         event_digests: Optional[Dict[str, str]],
     ) -> Optional[CatalogEntry]:
         with self._replica_lock:
-            replica = self._replicas.get(key)
-            if replica is None:
+            entry = self._replicas.get(key)
+            if entry is None:
                 return None
-            if (
-                replica.events_digest != events_digest
-                or replica.event_digests != event_digests
-            ):
-                # The registry moved under the replica (or the caller's
-                # freshness evidence changed): invalidate, re-read.
+            if entry.staleness(events_digest, event_digests) is not None:
+                # The registry moved under the replica: invalidate, re-read.
                 del self._replicas[key]
                 get_tracer().incr("shard.replica_invalidations")
                 return None
             self._replicas.move_to_end(key)
         get_tracer().incr("shard.replica_hits")
-        return replica.entry
+        return entry
 
-    def _replica_put(
-        self,
-        key: Tuple[str, str, str],
-        entry: CatalogEntry,
-        events_digest: Optional[str],
-        event_digests: Optional[Dict[str, str]],
-    ) -> None:
-        if events_digest is None and event_digests is None:
-            # An unchecked read carries no freshness evidence; caching
-            # it could serve a stale definition as fresh.  Don't.
-            return
+    def _replica_put(self, key: Tuple[str, str, str], entry: CatalogEntry) -> None:
         with self._replica_lock:
-            self._replicas[key] = _Replica(
-                entry=entry,
-                events_digest=events_digest,
-                event_digests=dict(event_digests) if event_digests else None,
-            )
+            self._replicas[key] = entry
             self._replicas.move_to_end(key)
             while len(self._replicas) > self._replica_capacity:
                 self._replicas.popitem(last=False)
@@ -467,6 +442,10 @@ class ShardedCatalogStore:
         events_digest: Optional[str] = None,
         event_digests: Optional[Dict[str, str]] = None,
     ) -> Optional[CatalogEntry]:
+        if events_digest is None and event_digests is None:
+            # An unchecked read (tooling, not serving) always goes to
+            # disk and is never replicated.
+            return self._route(arch, metric).latest(arch, metric, config_digest)
         key = self._replica_key(arch, metric, config_digest)
         replica = self._replica_get(key, events_digest, event_digests)
         if replica is not None:
@@ -479,7 +458,7 @@ class ShardedCatalogStore:
             event_digests=event_digests,
         )
         if entry is not None:
-            self._replica_put(key, entry, events_digest, event_digests)
+            self._replica_put(key, entry)
         return entry
 
     def history(

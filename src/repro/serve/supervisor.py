@@ -63,7 +63,7 @@ from repro.serve.http import (
     parse_metric_target,
     serve_connection,
 )
-from repro.serve.service import ServedMetric, TransportError, catalog_key
+from repro.serve.service import TransportError, catalog_key, catalog_read
 from repro.serve.shard import ShardedCatalogStore, open_catalog
 
 __all__ = ["ServiceSupervisor", "SupervisorConfig", "SupervisorServer"]
@@ -476,9 +476,9 @@ class ServiceSupervisor:
 
     def _fresh_answer(self, keyed: Tuple) -> Optional[Dict[str, Any]]:
         """Front-replica read: answer ``GET /v1/metric/...`` from the
-        dispatcher's own catalog view when the stored entry carries the
-        full freshness evidence — the exact check a worker's catalog
-        hit makes, fronted by the shard store's read replicas, so a hot
+        dispatcher's own catalog view when the stored entry is fresh —
+        the same :func:`catalog_read` a worker's catalog hit makes,
+        fronted by the shard store's read replicas, so a hot
         key skips the internal hop entirely.  Returns None on any miss
         or doubt (the request is then forwarded to the pool as usual);
         never serves stale or faulted requests."""
@@ -486,22 +486,15 @@ class ServiceSupervisor:
         if self._store is None or faults:
             return None
         try:
-            arch, config_digest, events_digest, dependencies = catalog_key(
-                system, domain, seed
-            )
-            entry = self._store.latest(
-                arch,
-                metric,
-                config_digest,
-                events_digest=events_digest,
-                event_digests=dependencies,
+            served = catalog_read(
+                self._store, catalog_key(system, domain, seed), [metric]
             )
         except Exception:  # noqa: BLE001 — the fast path is advisory
             return None
-        if entry is None:
+        if served is None:
             return None
         self.stats.incr("front_serves")
-        return ServedMetric(entry=entry, source="catalog").to_payload()
+        return served[metric].to_payload()
 
     async def dispatch(
         self, method: str, target: str, body: bytes, *, timeout: float = 60.0
@@ -617,19 +610,18 @@ class ServiceSupervisor:
         if self._store is None or self.config.stale_max_age is None or faults:
             return None
         try:
-            arch, config_digest, _, _ = catalog_key(system, domain, seed)
+            served = catalog_read(
+                self._store,
+                catalog_key(system, domain, seed),
+                [metric],
+                stale_max_age=self.config.stale_max_age,
+            )
         except KeyError:
             return None
-        found = self._store.stale_latest(
-            arch, metric, config_digest, max_age=self.config.stale_max_age
-        )
-        if found is None:
+        if served is None:
             return None
-        entry, age = found
         self.stats.incr("stale_fallbacks")
-        payload = ServedMetric(
-            entry=entry, source="catalog", stale=True, stale_age=age
-        ).to_payload()
+        payload = served[metric].to_payload()
         payload["degraded"] = "no live workers"
         return payload
 

@@ -19,15 +19,16 @@ typed anomalies:
   the fired guard ladder differ between versions.
 
 Staleness (:func:`stale_entry_rows`) is the complementary read-side
-check: entries whose recorded per-event dependency digests no longer
-match the *live* registry are flagged so vet tooling can target exactly
-what needs revalidation.
+check: entries the catalog's freshness rule
+(:meth:`~repro.serve.catalog.CatalogEntry.staleness`) judges stale
+against the *live* registry are flagged so vet tooling can target
+exactly what needs revalidation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from repro.events.registry import EventRegistry
 from repro.serve.catalog import MetricCatalogStore, diff_entries
@@ -242,42 +243,34 @@ def stale_entry_rows(
     registries: Mapping[str, EventRegistry],
     arch: Optional[str] = None,
 ) -> List[dict]:
-    """Catalog keys whose latest entry no longer matches the live registry.
+    """Catalog keys whose latest entry is stale against the live registry.
 
     ``registries`` maps architecture names to their current event
-    registries.  An entry is stale when any of its recorded per-event
-    dependency digests is missing from or differs in the live registry
-    (an event was edited or removed); entries without the per-event map
-    fall back to the coarse whole-registry digest.  Architectures with no
-    live registry are flagged too — they cannot be revalidated at all.
+    registries.  Each entry is judged by :meth:`CatalogEntry.staleness`
+    against the live whole-registry digest and the live dependency map
+    of the entry's domain — the scope every writer records — so edited,
+    removed and added events all stale it.  Architectures with no live
+    registry are flagged too — they cannot be revalidated at all.
     """
-    live_digests: Dict[str, Dict[str, str]] = {}
-    live_whole: Dict[str, str] = {}
-    for name, registry in registries.items():
-        live_digests[name] = registry.event_digests()
-        live_whole[name] = registry.content_digest()
+    from repro.incr.engine import domain_event_digests
+
+    evidence: Dict[Tuple[str, str], Tuple[str, Dict[str, str]]] = {}
     rows: List[dict] = []
     for row in store.list_entries(arch):
         entry = store.get(row["arch"], row["metric"], row["config_digest"])
         if entry is None:
             continue
-        live = live_digests.get(entry.arch)
-        reason = None
-        if live is None:
+        registry = registries.get(entry.arch)
+        if registry is None:
             reason = f"no live registry known for architecture {entry.arch!r}"
-        elif entry.event_digests:
-            changed = sorted(
-                name
-                for name, digest in entry.event_digests.items()
-                if live.get(name) != digest
-            )
-            if changed:
-                sample = ", ".join(changed[:3])
-                if len(changed) > 3:
-                    sample += f", ... ({len(changed)} total)"
-                reason = f"event digest(s) changed: {sample}"
-        elif entry.events_digest != live_whole.get(entry.arch):
-            reason = "events registry digest changed (no per-event map recorded)"
+        else:
+            key = (entry.arch, entry.domain)
+            if key not in evidence:
+                evidence[key] = (
+                    registry.content_digest(),
+                    domain_event_digests(registry, entry.domain),
+                )
+            reason = entry.staleness(*evidence[key])
         if reason is not None:
             stale_row = dict(row)
             stale_row["stale_reason"] = reason

@@ -243,24 +243,6 @@ class TestEventDigests:
             assert back == entry
             assert back.event_digests == entry.event_digests
 
-    def test_empty_map_keeps_legacy_content_digest(self, entries):
-        """Adding the (empty) field must not change the content digest
-        of pre-tracking entries — stored catalogs keep deduping."""
-        import dataclasses
-
-        entry = entries[0]
-        assert entry.event_digests == {}
-        payload = entry.to_payload()
-        # The payload carries the field, but the content digest drops it
-        # when empty, so a legacy payload (no field at all) digests the
-        # same.
-        legacy = dict(payload)
-        legacy.pop("event_digests")
-        legacy_entry = CatalogEntry.from_payload(legacy)
-        assert legacy_entry.content_digest() == entry.content_digest()
-        tracked = dataclasses.replace(entry, event_digests={"E": "abc"})
-        assert tracked.content_digest() != entry.content_digest()
-
     def test_fine_grained_freshness(self, tmp_path, node, tracked):
         store = MetricCatalogStore(tmp_path)
         stored = store.put(tracked[0])
@@ -306,11 +288,10 @@ class TestEventDigests:
             is None
         )
 
-    def test_legacy_entry_falls_back_to_coarse_check(
-        self, tmp_path, entries, node
-    ):
-        """An entry without a dependency map is checked against the
-        whole-registry digest even when fine-grained digests are given."""
+    def test_whole_registry_match_suffices(self, tmp_path, entries, node):
+        """A matching whole-registry digest makes an entry fresh whatever
+        dependency map the caller gives; without that match, the maps
+        must agree."""
         store = MetricCatalogStore(tmp_path)
         stored = store.put(entries[0])  # event_digests == {}
         deps = node.events.select(domains=("branch",)).event_digests()
@@ -334,6 +315,24 @@ class TestEventDigests:
             )
             is None
         )
+
+    def test_staleness_reason_names_moved_events(self, tracked):
+        entry = tracked[0]
+        deps = dict(entry.event_digests)
+        assert entry.staleness() is None
+        assert entry.staleness(events_digest=entry.events_digest) is None
+        assert entry.staleness("other", deps) is None
+        assert entry.staleness("other") == "event registry changed"
+        removed, changed = sorted(deps)[:2]
+        del deps[removed]
+        deps[changed] = "0" * 16
+        deps["AAA_ADDED"] = "f" * 16
+        reason = entry.staleness("other", deps)
+        assert reason.startswith("3 event digest(s) differ: ")
+        assert reason.endswith(f"+AAA_ADDED, -{removed}, ~{changed}")
+        deps["AAB_ADDED"] = "e" * 16
+        assert entry.staleness("other", deps).startswith("4 event digest(s)")
+        assert entry.staleness("other", deps).endswith(", ...")
 
 
 class TestPartialRefreshDiff:

@@ -338,6 +338,36 @@ class TestReadReplicas:
             assert store.replica_count == 0
             assert tracer.counters["shard.replica_invalidations"] == 1
 
+    def test_unrelated_registry_edit_keeps_replica(self, tmp_path, entries):
+        """An entry carrying a dependency map stays replicated across an
+        edit elsewhere in the registry: the whole-registry digest moves,
+        the map does not, so the replica answers without a disk route."""
+        store = ShardedCatalogStore(tmp_path, n_shards=2)
+        deps = {"BR_INST_RETIRED": "a" * 16, "BR_MISP_RETIRED": "b" * 16}
+        entry = dataclasses.replace(entries[0], event_digests=deps)
+        store.put(entry)
+        with obs.tracing(seed=7) as tracer:
+            store.latest(
+                entry.arch,
+                entry.metric,
+                entry.config_digest,
+                events_digest=entry.events_digest,
+                event_digests=deps,
+            )
+            routes = tracer.counters["shard.routes"]
+            hits = tracer.counters.get("shard.replica_hits", 0)
+            again = store.latest(
+                entry.arch,
+                entry.metric,
+                entry.config_digest,
+                events_digest="0" * 16,
+                event_digests=dict(deps),
+            )
+            assert again is not None
+            assert tracer.counters["shard.replica_hits"] == hits + 1
+            assert tracer.counters.get("shard.replica_invalidations", 0) == 0
+            assert tracer.counters["shard.routes"] == routes
+
     def test_write_invalidates_replica(self, tmp_path, entries):
         store = ShardedCatalogStore(tmp_path, n_shards=2)
         entry = entries[0]

@@ -179,6 +179,44 @@ class TestStaleEntries:
         assert all("stale_reason" in row for row in rows)
         assert any(dropped in row["stale_reason"] for row in rows)
 
+    def test_added_event_marks_entries_stale(self, tmp_path):
+        """An event added to an entry's measured domain stales it (the
+        refresh engine recomputes such entries), and the reason names
+        the added event."""
+        from repro.events.model import RawEvent
+        from repro.incr import (
+            RegistryEdit,
+            apply_edits,
+            domain_event_digests,
+            measured_event_domains,
+        )
+
+        node = aurora_node(seed=7)
+        store = MetricCatalogStore(tmp_path / "catalog", durable=False)
+        for entry in entries_from_result(
+            AnalysisPipeline.for_domain("branch", node).run(),
+            arch=node.name,
+            seed=7,
+            events_digest=node.events.content_digest(),
+            event_digests=domain_event_digests(node.events, "branch"),
+        ):
+            store.put(entry)
+        assert stale_entry_rows(store, {node.name: node.events}) == []
+
+        added = RawEvent(
+            name="BR_SYNTH_ADDED",
+            domain=measured_event_domains("branch")[0],
+            response={"k": 1.0},
+        )
+        grown = apply_edits(
+            node.events, [RegistryEdit(action="add", new_event=added)]
+        )
+        rows = stale_entry_rows(store, {node.name: grown})
+        assert len(rows) == len(store.list_entries())
+        assert all(
+            "+BR_SYNTH_ADDED" in row["stale_reason"] for row in rows
+        ), rows
+
     def test_unknown_architecture_is_stale(self, transitioned_store):
         rows = stale_entry_rows(transitioned_store, {})
         assert rows
