@@ -150,10 +150,11 @@ class RobustnessReport:
             lines.append("")
             lines.append("retries:")
             lines.extend(f"  {note}" for note in self.retries)
+        injected_cells = {r.cell_key for r in self.records}
         extra_repairs = [
             a
             for a in self.scrub_actions
-            if not any(r.cell_key == (a.event, a.coords) for r in self.records)
+            if (a.event, a.coords) not in injected_cells
             and a.action != "dropped-event"
         ]
         if extra_repairs:

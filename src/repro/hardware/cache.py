@@ -14,6 +14,12 @@ Two complementary engines:
   property tests in ``tests/hardware/test_cache.py`` verify the two engines
   agree on randomized configurations.
 
+The closed form holds only for distinct lines.  Both entry points check
+that with a sort and a scan for equal neighbours, and raise ``ValueError``
+on a repeat.  :meth:`CacheHierarchy.cyclic_steady_state` checks once per
+walk, at entry: each level sees a subset of the lines, which stays
+distinct.  Each level then needs one ``bincount`` of its lines over sets.
+
 The hierarchy is modelled as non-inclusive with independent per-level LRU
 state; demand misses propagate to the next level.  That matches the
 granularity of the events the paper analyses (per-level demand hits and
@@ -159,6 +165,24 @@ class HierarchyCounts:
         raise KeyError(f"no cache level named {name!r}")
 
 
+def _require_distinct(addrs: np.ndarray) -> None:
+    """Raise unless ``addrs`` repeats no line (sort, then scan neighbours)."""
+    ordered = np.sort(addrs)
+    if np.any(ordered[1:] == ordered[:-1]):
+        raise ValueError("cyclic_steady_state expects distinct lines per pass")
+
+
+def _level_steady_state(addrs: np.ndarray, config: CacheConfig) -> Tuple[int, np.ndarray]:
+    """Hits per pass at one level, and the mask of ``addrs`` that miss it.
+
+    ``addrs`` must be distinct; the callers check that first.
+    """
+    sets = config.set_index(addrs)
+    per_set = np.bincount(sets, minlength=config.n_sets)
+    fits = per_set <= config.ways
+    return int(per_set[fits].sum()), ~fits[sets]
+
+
 def cyclic_steady_state(line_addrs: np.ndarray, config: CacheConfig) -> Tuple[int, int]:
     """Steady-state (hits, misses) per pass of a cyclic trace.
 
@@ -172,14 +196,9 @@ def cyclic_steady_state(line_addrs: np.ndarray, config: CacheConfig) -> Tuple[in
     addrs = np.asarray(line_addrs, dtype=np.int64)
     if addrs.size == 0:
         return 0, 0
-    if np.unique(addrs).size != addrs.size:
-        raise ValueError("cyclic_steady_state expects distinct lines per pass")
-    sets = config.set_index(addrs)
-    per_set = np.bincount(sets, minlength=config.n_sets)
-    fits = per_set <= config.ways
-    hits = int(per_set[fits].sum())
-    misses = int(per_set[~fits].sum())
-    return hits, misses
+    _require_distinct(addrs)
+    hits, _ = _level_steady_state(addrs, config)
+    return hits, int(addrs.size) - hits
 
 
 class CacheHierarchy:
@@ -224,18 +243,16 @@ class CacheHierarchy:
     def cyclic_steady_state(self, line_addrs: np.ndarray) -> HierarchyCounts:
         """Closed-form steady-state counts per pass of a cyclic walk."""
         remaining = np.asarray(line_addrs, dtype=np.int64)
+        # Every level sees a subset of these lines, and a subset of distinct
+        # lines is distinct, so one check at entry covers the whole walk.
+        _require_distinct(remaining)
         counts: List[LevelCounts] = []
         for config in self.configs:
             accesses = int(remaining.size)
+            hits = 0
             if accesses:
-                hits, _ = cyclic_steady_state(remaining, config)
-                sets = config.set_index(remaining)
-                per_set = np.bincount(sets, minlength=config.n_sets)
-                overfull = per_set > config.ways
-                remaining = remaining[overfull[sets]]
-            else:
-                hits = 0
-                remaining = remaining[:0]
+                hits, misses = _level_steady_state(remaining, config)
+                remaining = remaining[misses]
             counts.append(LevelCounts(config.name, accesses=accesses, hits=hits))
         return HierarchyCounts(
             levels=tuple(counts),

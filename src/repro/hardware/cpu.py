@@ -33,6 +33,10 @@ from repro.hardware.tlb import TLBConfig, tlb_activity
 
 __all__ = ["CPUConfig", "ComputeKernel", "PointerChase", "SimulatedCPU"]
 
+# Each chase thread walks lines ``thread << _THREAD_SHIFT`` and up: disjoint
+# 4-GiB line regions per thread.
+_THREAD_SHIFT = 26
+
 
 @dataclass(frozen=True)
 class CPUConfig:
@@ -56,6 +60,18 @@ class CPUConfig:
     l2_latency: float = 16.0
     l3_latency: float = 50.0
     mem_latency: float = 150.0
+
+    def __post_init__(self) -> None:
+        # run_pointer_chase walks the private levels once for all threads.
+        # That is exact only if the thread offset leaves every private set
+        # index unchanged, i.e. if each private set count divides it.
+        for level in (self.l1d, self.l2):
+            if (1 << _THREAD_SHIFT) % level.n_sets:
+                raise ValueError(
+                    f"{self.name}: private cache {level.name} has {level.n_sets} "
+                    f"sets, which does not divide the per-thread line offset "
+                    f"2**{_THREAD_SHIFT}; threads would map to different sets"
+                )
 
 
 @dataclass(frozen=True)
@@ -163,7 +179,7 @@ class SimulatedCPU:
     def _thread_lines(self, chase: PointerChase, thread: int) -> np.ndarray:
         """Distinct line numbers a thread touches (disjoint across threads)."""
         stride_lines = max(1, chase.stride_bytes // self.config.l1d.line_bytes)
-        base = thread << 26  # disjoint 4-GiB line regions per thread
+        base = thread << _THREAD_SHIFT
         return base + np.arange(chase.n_pointers, dtype=np.int64) * stride_lines
 
     def run_pointer_chase(self, chase: PointerChase) -> List[Activity]:
@@ -174,19 +190,23 @@ class SimulatedCPU:
         sets, so a set over-committed *globally* misses for all threads.
         """
         cfg = self.config
-        per_thread_lines = [self._thread_lines(chase, t) for t in range(chase.n_threads)]
-
-        # Private levels: per-thread closed-form hits/misses per pass.  The
-        # hierarchy engine also reports the lines that missed both private
-        # levels — the arriving stream of the shared L3.
-        private = CacheHierarchy([cfg.l1d, cfg.l2])
-        private_counts = [private.cyclic_steady_state(lines) for lines in per_thread_lines]
-        l3_streams = [counts.survivors for counts in private_counts]
+        # Private levels: closed-form hits/misses per pass.  A thread's lines
+        # are thread 0's shifted by ``thread << _THREAD_SHIFT``, which every
+        # private set count divides (checked by CPUConfig), so every thread
+        # has thread 0's private counts, and its L3 stream (the lines that
+        # missed both private levels) is thread 0's survivors shifted alike.
+        private = CacheHierarchy([cfg.l1d, cfg.l2]).cyclic_steady_state(
+            self._thread_lines(chase, 0)
+        )
+        l1 = private.level("L1D")
+        l2 = private.level("L2")
+        l3_streams = [
+            (thread << _THREAD_SHIFT) + private.survivors
+            for thread in range(chase.n_threads)
+        ]
 
         # Shared L3: global per-set occupancy decides hits for everyone.
-        all_l3_lines = (
-            np.concatenate(l3_streams) if l3_streams else np.zeros(0, dtype=np.int64)
-        )
+        all_l3_lines = np.concatenate(l3_streams)
         if all_l3_lines.size:
             l3_sets_global = cfg.l3.set_index(all_l3_lines)
             l3_per_set = np.bincount(l3_sets_global, minlength=cfg.l3.n_sets)
@@ -195,11 +215,7 @@ class SimulatedCPU:
             overfull = np.zeros(cfg.l3.n_sets, dtype=bool)
 
         activities: List[Activity] = []
-        for thread in range(chase.n_threads):
-            counts = private_counts[thread]
-            l1 = counts.level("L1D")
-            l2 = counts.level("L2")
-            stream = l3_streams[thread]
+        for stream in l3_streams:
             if stream.size:
                 miss_mask = overfull[cfg.l3.set_index(stream)]
                 l3_hits = int(stream.size - miss_mask.sum())

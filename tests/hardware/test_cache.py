@@ -190,6 +190,11 @@ class TestCacheHierarchy:
             assert exact.level(name).hits == analytic.level(name).hits, name
         assert exact.memory_accesses == analytic.memory_accesses
 
+    def test_duplicate_lines_rejected(self):
+        # One check at entry guards every level of the walk.
+        with pytest.raises(ValueError, match="distinct lines"):
+            self._hier().cyclic_steady_state(np.array([3, 40, 3]))
+
     def test_conservation_invariant(self):
         # Accesses at each level == misses of the previous level.
         h = self._hier()

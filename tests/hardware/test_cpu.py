@@ -2,10 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.activity import fp_instr_key
 from repro.hardware import ComputeKernel, CPUConfig, PointerChase, SimulatedCPU
 from repro.hardware.branch import BranchSpec
+from repro.hardware.cache import CacheConfig, CacheHierarchy
 
 
 @pytest.fixture(scope="module")
@@ -136,6 +139,56 @@ class TestPointerChase:
         l1 = cpu.run_pointer_chase(PointerChase(n_pointers=256, n_threads=1))[0]
         mem = cpu.run_pointer_chase(PointerChase(n_pointers=2**21, n_threads=1))[0]
         assert mem.get("cycles.core") > l1.get("cycles.core")
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(1, 600),
+        st.sampled_from([8, 64, 128, 192, 4096]),
+        st.integers(1, 6),
+    )
+    def test_property_threads_match_independent_walks(
+        self, n_pointers, stride_bytes, n_threads
+    ):
+        """Each thread's activity equals its own private walk plus the
+        shared-L3 step, though the engine walks the private levels once."""
+        # Small enough that every regime shows within 600 pointers,
+        # including L3 sets that only the threads together over-fill.
+        config = CPUConfig(
+            l1d=CacheConfig("L1D", 8 * 64 * 2, 64, 2),
+            l2=CacheConfig("L2", 16 * 64 * 4, 64, 4),
+            l3=CacheConfig("L3", 64 * 64 * 4, 64, 4),
+        )
+        cpu = SimulatedCPU(config)
+        chase = PointerChase(n_pointers, stride_bytes=stride_bytes, n_threads=n_threads)
+        private = CacheHierarchy([config.l1d, config.l2])
+        walks = [
+            private.cyclic_steady_state(cpu._thread_lines(chase, t))
+            for t in range(n_threads)
+        ]
+        l3 = config.l3
+        merged = np.concatenate([walk.survivors for walk in walks])
+        overfull = np.bincount(l3.set_index(merged), minlength=l3.n_sets) > l3.ways
+        acts = cpu.run_pointer_chase(chase)
+        assert len(acts) == n_threads
+        for walk, act in zip(walks, acts):
+            l1, l2 = walk.level("L1D"), walk.level("L2")
+            l3_misses = int(overfull[l3.set_index(walk.survivors)].sum())
+            expected = cpu._chase_activity(
+                chase,
+                l1.hits,
+                l1.misses,
+                l2.hits,
+                l2.misses,
+                walk.survivors.size - l3_misses,
+                l3_misses,
+            )
+            assert dict(act) == dict(expected)
+
+    def test_private_sets_must_divide_thread_shift(self):
+        # 2**27 sets cannot divide the 2**26-line offset between threads.
+        huge_l2 = CacheConfig("L2", 2**27 * 64, 64, 1)
+        with pytest.raises(ValueError, match="does not divide"):
+            CPUConfig(l2=huge_l2)
 
     def test_validation(self):
         with pytest.raises(ValueError):
