@@ -1,101 +1,22 @@
-"""EXP-INCR: update-vs-refactor crossover and end-to-end refresh speedup.
+"""EXP-INCR: end-to-end refresh speedup (``results/incremental.md``).
 
-The incremental engine's value proposition has two layers, and this
-bench puts measured numbers on both (``results/incremental.md``):
-
-* **Part A — the ELAPS-style crossover.**  Absorbing one column edit via
-  :meth:`~repro.linalg.updates.UpdatableQR.replace_column` plus a solve
-  off the maintained factors costs O(m^2) Givens work, while the
-  from-scratch path (:func:`~repro.linalg.householder.qr_decompose` +
-  :func:`~repro.linalg.lstsq.lstsq_qr`) re-pays O(m n^2) per edit.  The
-  table sweeps problem sizes and records the measured ratio so the
-  regime where updating beats refactoring is documented, not assumed.
-
-* **Part B — the refresh-vs-resweep headline.**  A full catalog build
-  over every (system, domain) of the sweep matrix, versus
-  :func:`~repro.incr.engine.refresh_catalog` after a single-event
-  registry edit with a warm column cache.  The refresh must be at least
-  10x faster AND provably equivalent: refreshed entries content-digest
-  identical to a from-scratch build on the edited registry, untouched
-  entries answering with bit-identical coefficients.
+A full catalog build over every (system, domain) of the sweep matrix,
+versus :func:`~repro.incr.engine.refresh_catalog` after a single-event
+registry edit with a warm column cache.  The refresh must be at least
+10x faster AND provably equivalent: refreshed entries content-digest
+identical to a from-scratch build on the edited registry, untouched
+entries answering with bit-identical coefficients.
 """
 
 import time
-
-import numpy as np
 
 from repro.core.sweep import SWEEP_SYSTEMS, SYSTEM_DOMAINS
 from repro.incr import RegistryEdit, apply_edits, refresh_catalog
 from repro.io.cache import MeasurementCache
 from repro.io.tables import write_markdown
-from repro.linalg.householder import qr_decompose
-from repro.linalg.lstsq import lstsq_qr
-from repro.linalg.updates import UpdatableQR
 from repro.serve.catalog import MetricCatalogStore
 
 MIN_SPEEDUP = 10.0
-REPEATS = 5
-
-
-def _best_of(fn, repeats=REPEATS):
-    best = float("inf")
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - t0)
-    return best
-
-
-def _crossover_rows():
-    """Part A: replace_column+solve vs qr_decompose+lstsq per size."""
-    rng = np.random.default_rng(20240807)
-    rows = []
-    for n in (8, 16, 32, 64, 128):
-        m = 2 * n
-        a = rng.standard_normal((m, n))
-        b = rng.standard_normal(m)
-        new_col = rng.standard_normal(m)
-        j = n // 2
-
-        def full():
-            a_new = a.copy()
-            a_new[:, j] = new_col
-            qr_decompose(a_new)
-            lstsq_qr(a_new, b)
-
-        base = UpdatableQR(a)
-
-        def update():
-            qr = UpdatableQR.__new__(UpdatableQR)
-            qr.q = base.q.copy()
-            qr.r = base.r.copy()
-            qr.a = base.a.copy()
-            qr.updates = 0
-            qr.replace_column(j, new_col)
-            qr.lstsq(b)
-
-        t_full = _best_of(full)
-        t_update = _best_of(update)
-
-        # The timed update must still be numerically right: same solution
-        # as the from-scratch solve on the edited matrix.
-        a_new = a.copy()
-        a_new[:, j] = new_col
-        qr = UpdatableQR(a)
-        qr.replace_column(j, new_col)
-        np.testing.assert_allclose(
-            qr.lstsq(b).x, lstsq_qr(a_new, b).x, rtol=1e-9, atol=1e-12
-        )
-
-        rows.append(
-            [
-                f"{m}x{n}",
-                f"{t_full * 1e3:.3f}",
-                f"{t_update * 1e3:.3f}",
-                f"{t_full / t_update:.2f}",
-            ]
-        )
-    return rows
 
 
 def _build_everything(store, nodes, cache):
@@ -109,20 +30,13 @@ def _build_everything(store, nodes, cache):
     return reports
 
 
-def _coefficients(entries):
-    return {
-        key: tuple(float(c) for c in entry.coefficients)
-        for key, entry in entries.items()
-    }
-
-
 def test_incremental_refresh(results_dir, tmp_path):
     nodes = {
         system: factory(seed=7) for system, factory in SWEEP_SYSTEMS.items()
     }
     cache = MeasurementCache(max_memory_entries=4096)
 
-    # -- Part B: full build (cold cache) vs post-edit refresh (warm). ----
+    # -- Full build (cold cache) vs post-edit refresh (warm). -----------
     store = MetricCatalogStore(tmp_path / "catalog")
     t0 = time.perf_counter()
     build_reports = _build_everything(store, nodes, cache)
@@ -228,7 +142,7 @@ def test_incremental_refresh(results_dir, tmp_path):
 
     # -- Render the report. -----------------------------------------------
     delta = refresh_reports["frontier"].deltas["gpu_flops"]
-    part_b_rows = [
+    rows = [
         ["full catalog build (9 analyses, cold cache)", f"{t_build:.3f}",
          f"{total_entries} entries"],
         ["refresh after 1-event edit (warm cache)", f"{t_refresh:.3f}",
@@ -240,10 +154,9 @@ def test_incremental_refresh(results_dir, tmp_path):
     path = write_markdown(
         results_dir / "incremental.md",
         ["scenario", "wall time (s)", "work"],
-        part_b_rows,
+        rows,
         title="Incremental recomputation: refresh, don't resweep",
     )
-    crossover = _crossover_rows()
     with path.open("a") as fh:
         fh.write(
             f"\nMeasured speedup: **{speedup:.1f}x** "
@@ -251,17 +164,4 @@ def test_incremental_refresh(results_dir, tmp_path):
             "content-digest identical to a from-scratch build on the "
             "edited registry; untouched entries keep bit-identical "
             "coefficients.\n"
-        )
-        fh.write(
-            "\n## Rank-one update vs full refactorization "
-            "(best of 5, one column replaced)\n\n"
-        )
-        fh.write("| size (m x n) | refactor (ms) | update (ms) | ratio |\n")
-        fh.write("| --- | --- | --- | --- |\n")
-        for row in crossover:
-            fh.write("| " + " | ".join(row) + " |\n")
-        fh.write(
-            "\nThe update path (Givens chase, O(m^2)) wins by a widening "
-            "margin as the O(m n^2) refactorization grows; both columns "
-            "solve the same edited system to within 1e-9.\n"
         )

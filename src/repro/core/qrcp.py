@@ -30,7 +30,7 @@ ablation benchmarks:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, List, Optional, Tuple
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
@@ -40,7 +40,7 @@ from repro.linalg.householder import HouseholderQR
 if TYPE_CHECKING:
     from repro.guard.health import GuardConfig, NumericalHealth
 
-__all__ = ["QRCPResult", "qrcp_specialized", "qrcp_standard", "qrcp_update"]
+__all__ = ["QRCPResult", "qrcp_specialized", "qrcp_standard"]
 
 
 @dataclass(frozen=True)
@@ -185,25 +185,6 @@ def qrcp_standard(
     return _guarded(x, perm, rank, r, guard, pivot_loop)
 
 
-def _specialized_pivot_loop(work: np.ndarray, alpha: float):
-    """Algorithm 2's pivoting loop: ``(perm, rank, r)`` of one matrix."""
-    m, n = work.shape
-    beta = alpha * np.sqrt(m)  # norm of the all-alpha vector
-    fact = HouseholderQR(work)
-    perm = np.arange(n)
-    rank = 0
-    for i in range(min(m, n)):
-        pivot = _get_pivot(fact, i, alpha, beta)
-        if pivot < 0:
-            break
-        fact.swap_columns(i, pivot)
-        perm[[i, pivot]] = perm[[pivot, i]]
-        fact.step()
-        rank += 1
-    r = np.triu(fact.a[:rank, :]) if rank else np.zeros((0, n))
-    return perm, rank, r
-
-
 def qrcp_specialized(
     x: np.ndarray, alpha: float, guard: Optional["GuardConfig"] = None
 ) -> QRCPResult:
@@ -215,145 +196,24 @@ def qrcp_specialized(
         raise ValueError("alpha must be positive")
 
     def pivot_loop(work: np.ndarray):
-        return _specialized_pivot_loop(work, alpha)
+        m, n = work.shape
+        beta = alpha * np.sqrt(m)  # norm of the all-alpha vector
+        fact = HouseholderQR(work)
+        perm = np.arange(n)
+        rank = 0
+        for i in range(min(m, n)):
+            pivot = _get_pivot(fact, i, alpha, beta)
+            if pivot < 0:
+                break
+            fact.swap_columns(i, pivot)
+            perm[[i, pivot]] = perm[[pivot, i]]
+            fact.step()
+            rank += 1
+        r = np.triu(fact.a[:rank, :]) if rank else np.zeros((0, n))
+        return perm, rank, r
 
     perm, rank, r = pivot_loop(x)
     return _guarded(x, perm, rank, r, guard, pivot_loop)
-
-
-def qrcp_update(
-    x_new: np.ndarray,
-    previous: QRCPResult,
-    changed_columns,
-    alpha: float,
-    guard: Optional["GuardConfig"] = None,
-) -> QRCPResult:
-    """Incremental specialized QRCP after a few columns of ``x`` changed.
-
-    Replays ``previous``'s pivot order on ``x_new``, *verifying* at every
-    step that the paper's pivot rule would still make the same choice.
-    The key observation: a column the previous factorization selected is
-    (by contract) unchanged, so the replayed reflectors — and with them
-    every unchanged column's trailing residual and score at every step —
-    are **bit-identical** to a from-scratch run of
-    :func:`qrcp_specialized` on ``x_new``.  Only the changed columns can
-    disturb the selection, so each step checks just them against the
-    incumbent pivot (score, then residual norm, then position — exactly
-    ``get_pivot``'s ordering) at a fraction of full re-scoring cost.
-    After the replay the loop *continues* the standard algorithm, so a
-    changed column that became eligible extends the selection exactly as
-    a from-scratch run would.
-
-    On success the result is bit-identical to
-    ``qrcp_specialized(x_new, alpha, guard)`` (property-tested).  When a
-    changed column would steal a pivot — or was itself previously
-    selected — the replay is abandoned and the full factorization runs
-    instead (counted on ``incr.qr_fallbacks``); the caller always gets
-    the true Algorithm-2 answer either way.
-
-    Parameters
-    ----------
-    x_new:
-        The updated matrix; must have the same shape as the matrix
-        ``previous`` factorized.
-    previous:
-        The prior :class:`QRCPResult` for the unedited matrix.
-    changed_columns:
-        Indices of every column of ``x_new`` that differs (bitwise) from
-        the previous matrix.  Undeclared changes void the bit-identity
-        guarantee — this is the caller's side of the contract.
-    """
-    from repro.obs import get_tracer
-
-    x_new = np.asarray(x_new, dtype=np.float64)
-    if x_new.ndim != 2:
-        raise ValueError(f"expected a matrix, got shape {x_new.shape}")
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
-    n = x_new.shape[1]
-    if previous.permutation.shape[0] != n:
-        raise ValueError(
-            f"previous factorization covered {previous.permutation.shape[0]} "
-            f"columns but x_new has {n}; a column insert/delete needs a "
-            "full refactorization, not a replay"
-        )
-    changed = sorted({int(c) for c in changed_columns})
-    if changed and not (0 <= changed[0] and changed[-1] < n):
-        raise IndexError(f"changed column out of range [0, {n})")
-
-    tracer = get_tracer()
-    selected = set(int(c) for c in previous.selected)
-
-    def fallback() -> QRCPResult:
-        tracer.incr("incr.qr_fallbacks")
-        return qrcp_specialized(x_new, alpha, guard)
-
-    if any(c in selected for c in changed):
-        # An edited column was load-bearing: its reflector — and every
-        # trailing update derived from it — is invalid.  Refactorize.
-        return fallback()
-
-    def pivot_loop(work: np.ndarray):
-        return _specialized_pivot_loop(work, alpha)
-
-    m = x_new.shape[0]
-    beta = alpha * np.sqrt(m)
-    fact = HouseholderQR(x_new)
-    perm = np.arange(n)
-    for i in range(previous.rank):
-        target = int(previous.permutation[i])
-        t = int(np.flatnonzero(perm == target)[0])
-        residual = fact.trailing_column_norms()  # over columns i:
-        t_rel = t - i
-        if residual[t_rel] < beta:
-            # The incumbent pivot lost eligibility — cannot happen when
-            # the contract holds (its residuals are bit-identical), so
-            # treat it as a voided contract and refactorize.
-            return fallback()
-        ch_rel = [
-            int(np.flatnonzero(perm == c)[0]) - i
-            for c in changed
-        ]
-        contenders = [c for c in ch_rel if residual[c] >= beta]
-        if contenders:
-            cols = [i + c for c in contenders] + [t]
-            scores = score_columns(fact.a[:, cols], alpha)
-            t_score = scores[-1]
-            for rel, score in zip(contenders, scores[:-1]):
-                steals = score < t_score or (
-                    score == t_score
-                    and (
-                        residual[rel] < residual[t_rel]
-                        or (
-                            residual[rel] == residual[t_rel]
-                            and rel < t_rel
-                        )
-                    )
-                )
-                if steals:
-                    return fallback()
-        fact.swap_columns(i, t)
-        perm[[i, t]] = perm[[t, i]]
-        fact.step()
-
-    # Continue the standard loop: a changed column may have become
-    # eligible where the previous run terminated (or the previous run
-    # was full-rank, in which case this is a no-op).  Unchanged columns
-    # were ineligible at termination and still are, so the eligibility
-    # pre-check inside get_pivot keeps the common case cheap.
-    rank = previous.rank
-    for i in range(previous.rank, min(m, n)):
-        pivot = _get_pivot(fact, i, alpha, beta)
-        if pivot < 0:
-            break
-        fact.swap_columns(i, pivot)
-        perm[[i, pivot]] = perm[[pivot, i]]
-        fact.step()
-        rank += 1
-
-    tracer.incr("incr.qr_replays")
-    r = np.triu(fact.a[:rank, :]) if rank else np.zeros((0, n))
-    return _guarded(x_new, perm, rank, r, guard, pivot_loop)
 
 
 def _get_pivot(fact: HouseholderQR, i: int, alpha: float, beta: float) -> int:

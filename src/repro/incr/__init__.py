@@ -15,16 +15,11 @@ the smallest recompute that provably reproduces a from-scratch run:
   entry records the digests of the events it consumed, so a refresh
   recomputes only the (arch, metric) entries an edit actually feeds
   (``repro-cat catalog refresh`` is the CLI verb on top).
-* :mod:`repro.incr.session` — in-memory incremental selection and
-  composition: verified QRCP pivot replay plus rank-one
-  :class:`~repro.linalg.updates.UpdatableQR` updates of the shared
-  X-hat factorization, guard-certified with bit-identical fallback.
 
 Counters (``repro.obs``): ``incr.columns_reused`` /
-``incr.columns_measured`` (delta measurement), ``incr.qr_updates`` /
-``incr.qr_replays`` / ``incr.qr_fallbacks`` (linear algebra),
+``incr.columns_measured`` (delta measurement) and
 ``incr.entries_refreshed`` / ``incr.entries_unchanged`` (catalog
-refresh), ``incr.session_*`` (session paths).
+refresh).
 """
 
 from repro.incr.delta import (
@@ -45,12 +40,9 @@ from repro.incr.registry_edit import (
     load_edits,
     parse_edits,
 )
-from repro.incr.session import IncrementalAnalysis, IncrementalUpdate
 
 __all__ = [
     "DeltaReport",
-    "IncrementalAnalysis",
-    "IncrementalUpdate",
     "RefreshReport",
     "RegistryEdit",
     "apply_edits",

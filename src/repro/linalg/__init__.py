@@ -18,9 +18,6 @@ The public surface:
 * :func:`repro.linalg.triangular.solve_upper` /
   :func:`repro.linalg.triangular.solve_lower` — substitution solvers.
 * :func:`repro.linalg.lstsq.lstsq_qr` — least squares via our QR.
-* :class:`repro.linalg.updates.UpdatableQR` — rank-one column
-  insert/delete/replace updates of a QR with guard-certified solves
-  (the ``repro.incr`` fast path).
 * :func:`repro.linalg.norms.backward_error` — the paper's Equation 5
   fitness measure.
 """
@@ -34,13 +31,10 @@ from repro.linalg.householder import (
 from repro.linalg.lstsq import LstsqResult, default_rcond, lstsq_qr
 from repro.linalg.norms import backward_error, frobenius_norm, spectral_norm
 from repro.linalg.triangular import solve_lower, solve_upper
-from repro.linalg.updates import UpdatableQR, givens_rotation
 
 __all__ = [
     "HouseholderQR",
     "LstsqResult",
-    "UpdatableQR",
-    "givens_rotation",
     "apply_householder",
     "backward_error",
     "default_rcond",

@@ -11,19 +11,54 @@ timeout, a torn response — raise the typed
 socket exceptions, so ``except ServiceError`` plus the ``retryable``
 flag is the complete error-handling story; the retrying
 :class:`~repro.serve.resilience.ResilientCatalogClient` builds on
-exactly that contract.
+exactly that contract.  The request itself is :func:`exchange`, which
+the supervisor's front→worker hop calls directly.
 """
 
 from __future__ import annotations
 
 import http.client
 import json
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 from urllib.parse import quote, urlencode
 
 from repro.serve.service import ServiceBusy, ServiceError, TransportError
 
-__all__ = ["CatalogClient"]
+__all__ = ["CatalogClient", "exchange"]
+
+
+def exchange(
+    host: str, port: int, method: str, target: str, body: bytes, timeout: float
+) -> Tuple[int, Dict[str, Any]]:
+    """One blocking HTTP request over a fresh connection.
+
+    Returns ``(status, JSON payload)`` for any status — mapping non-200
+    answers is the caller's business.  Transport failures (refused,
+    reset, timeout, a torn or non-JSON body) raise
+    :class:`~repro.serve.service.TransportError` naming ``host:port``.
+    """
+    conn = http.client.HTTPConnection(host, port, timeout=timeout)
+    where = f"{host}:{port}"
+    try:
+        headers = {"Content-Type": "application/json"} if body else {}
+        try:
+            conn.request(method, target, body=body or None, headers=headers)
+            response = conn.getresponse()
+            raw = response.read()
+        except TimeoutError as exc:
+            raise TransportError(
+                f"no response from {where} within {timeout}s", exc
+            ) from exc
+        except (OSError, http.client.HTTPException) as exc:
+            raise TransportError(
+                f"{type(exc).__name__} talking to {where}: {exc}", exc
+            ) from exc
+        try:
+            return response.status, json.loads(raw.decode() or "{}")
+        except (UnicodeDecodeError, ValueError) as exc:
+            raise TransportError(f"torn response from {where}", exc) from exc
+    finally:
+        conn.close()
 
 
 class CatalogClient:
@@ -34,38 +69,18 @@ class CatalogClient:
         self.port = port
         self.timeout = timeout
 
-    # -- transport -----------------------------------------------------
     def _request(
         self, method: str, path: str, body: Optional[Dict[str, Any]] = None
     ) -> Dict[str, Any]:
-        conn = http.client.HTTPConnection(self.host, self.port, timeout=self.timeout)
-        where = f"{self.host}:{self.port}"
-        try:
-            payload = json.dumps(body).encode() if body is not None else None
-            headers = {"Content-Type": "application/json"} if payload else {}
-            try:
-                conn.request(method, path, body=payload, headers=headers)
-                response = conn.getresponse()
-                raw = response.read()
-            except TimeoutError as exc:
-                raise TransportError(
-                    f"no response from {where} within {self.timeout}s", exc
-                ) from exc
-            except (OSError, http.client.HTTPException) as exc:
-                raise TransportError(
-                    f"{type(exc).__name__} talking to {where}: {exc}", exc
-                ) from exc
-            try:
-                data = json.loads(raw.decode() or "{}")
-            except (UnicodeDecodeError, ValueError) as exc:
-                raise TransportError(f"torn response from {where}", exc) from exc
-            if response.status == 429:
-                raise ServiceBusy(int(data.get("queue_limit", 0)) or 1)
-            if response.status != 200:
-                raise ServiceError(response.status, data)
-            return data
-        finally:
-            conn.close()
+        payload = json.dumps(body).encode() if body is not None else b""
+        status, data = exchange(
+            self.host, self.port, method, path, payload, self.timeout
+        )
+        if status == 429:
+            raise ServiceBusy(int(data.get("queue_limit", 0)) or 1)
+        if status != 200:
+            raise ServiceError(status, data)
+        return data
 
     # -- endpoints -----------------------------------------------------
     def health(self) -> Dict[str, Any]:

@@ -45,8 +45,6 @@ from __future__ import annotations
 
 import asyncio
 import dataclasses
-import http.client
-import json
 import logging
 import multiprocessing as mp
 import os
@@ -58,6 +56,7 @@ from typing import Any, Deque, Dict, List, Optional, Tuple
 
 from repro.obs import Counters
 from repro.serve.catalog import FsckReport
+from repro.serve.client import exchange
 from repro.serve.http import (
     parse_analyze_body,
     parse_metric_target,
@@ -420,35 +419,6 @@ class ServiceSupervisor:
     def _live_slots(self) -> List[_WorkerSlot]:
         return [slot for slot in self.slots if slot.live]
 
-    def _forward(
-        self, port: int, method: str, target: str, body: bytes, timeout: float
-    ) -> Tuple[int, Dict[str, Any]]:
-        """Blocking single-attempt proxy hop to one worker."""
-        conn = http.client.HTTPConnection("127.0.0.1", port, timeout=timeout)
-        try:
-            headers = {"Content-Type": "application/json"} if body else {}
-            try:
-                conn.request(method, target, body=body or None, headers=headers)
-                response = conn.getresponse()
-                raw = response.read()
-            except TimeoutError as exc:
-                raise TransportError(
-                    f"worker :{port} gave no response within {timeout}s", exc
-                ) from exc
-            except (OSError, http.client.HTTPException) as exc:
-                raise TransportError(
-                    f"{type(exc).__name__} talking to worker :{port}: {exc}", exc
-                ) from exc
-            try:
-                payload = json.loads(raw.decode() or "{}")
-            except (UnicodeDecodeError, ValueError) as exc:
-                raise TransportError(
-                    f"torn response from worker :{port}", exc
-                ) from exc
-            return response.status, payload
-        finally:
-            conn.close()
-
     def _slot_for_shard(self, shard: str) -> int:
         """The worker slot owning a shard: shard i belongs to worker
         ``i mod workers`` — every worker owns a fixed, disjoint shard
@@ -570,7 +540,14 @@ class ServiceSupervisor:
                         threading.Timer(0.05, process.kill).start()
                 try:
                     return await loop.run_in_executor(
-                        None, self._forward, slot.port, method, target, body, timeout
+                        None,
+                        exchange,
+                        "127.0.0.1",
+                        slot.port,
+                        method,
+                        target,
+                        body,
+                        timeout,
                     )
                 except TransportError as exc:
                     last_error = exc

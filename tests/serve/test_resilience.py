@@ -439,6 +439,43 @@ class TestClientTransportTyping:
         thread.join(timeout=5.0)
         listener.close()
 
+    def test_exchange_returns_non_200_status_and_payload(self):
+        """The forward hop relays a worker's error answer verbatim:
+        ``exchange`` raises only on transport failure, never on status."""
+        import json
+        import socket
+
+        from repro.serve.client import exchange
+
+        listener = socket.socket()
+        listener.bind(("127.0.0.1", 0))
+        listener.listen(1)
+        port = listener.getsockname()[1]
+        body = json.dumps({"error": "queue full", "queue_limit": 4}).encode()
+        received = []
+
+        def serve_busy():
+            conn, _ = listener.accept()
+            received.append(conn.recv(4096))
+            conn.sendall(
+                b"HTTP/1.0 429 Too Many Requests\r\nContent-Length: "
+                + str(len(body)).encode()
+                + b"\r\n\r\n"
+                + body
+            )
+            conn.close()
+
+        thread = threading.Thread(target=serve_busy, daemon=True)
+        thread.start()
+        status, payload = exchange(
+            "127.0.0.1", port, "POST", "/v1/analyze", b'{"seed": 1}', 5.0
+        )
+        thread.join(timeout=5.0)
+        listener.close()
+        assert status == 429
+        assert payload == {"error": "queue full", "queue_limit": 4}
+        assert received[0].startswith(b"POST /v1/analyze ")
+
     def test_retryable_flag_contract(self):
         assert TransportError("x", None).retryable
         assert ServiceError(429, {}).retryable
