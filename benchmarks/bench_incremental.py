@@ -88,11 +88,6 @@ def test_incremental_refresh(results_dir, tmp_path):
     assert unchanged == total_entries - len(refreshed)
 
     speedup = t_build / t_refresh
-    assert speedup >= MIN_SPEEDUP, (
-        f"single-event refresh must be >= {MIN_SPEEDUP}x faster than the "
-        f"full build; measured {speedup:.1f}x "
-        f"({t_build:.2f}s vs {t_refresh:.2f}s)"
-    )
 
     # -- Equivalence: refresh-after-edit == build-from-scratch. ----------
     scratch_store = MetricCatalogStore(tmp_path / "scratch")
@@ -140,7 +135,8 @@ def test_incremental_refresh(results_dir, tmp_path):
     t_noop = time.perf_counter() - t0
     assert all(not report.refreshed for report in noop.values())
 
-    # -- Render the report. -----------------------------------------------
+    # -- Render the report, then gate on it: a failing gate still leaves
+    # this run's numbers in the results file, never a previous run's. ---
     delta = refresh_reports["frontier"].deltas["gpu_flops"]
     rows = [
         ["full catalog build (9 analyses, cold cache)", f"{t_build:.3f}",
@@ -160,8 +156,14 @@ def test_incremental_refresh(results_dir, tmp_path):
     with path.open("a") as fh:
         fh.write(
             f"\nMeasured speedup: **{speedup:.1f}x** "
-            f"(threshold {MIN_SPEEDUP:g}x).  Refreshed entries are "
-            "content-digest identical to a from-scratch build on the "
-            "edited registry; untouched entries keep bit-identical "
-            "coefficients.\n"
+            f"(threshold {MIN_SPEEDUP:g}x: "
+            f"{'met' if speedup >= MIN_SPEEDUP else 'NOT met'}).  "
+            "Refreshed entries are content-digest identical to a "
+            "from-scratch build on the edited registry; untouched entries "
+            "keep bit-identical coefficients.\n"
         )
+    assert speedup >= MIN_SPEEDUP, (
+        f"single-event refresh must be >= {MIN_SPEEDUP}x faster than the "
+        f"full build; measured {speedup:.1f}x "
+        f"({t_build:.2f}s vs {t_refresh:.2f}s)"
+    )

@@ -47,6 +47,7 @@ from repro.core.representation import RepresentationReport, represent_events
 from repro.core.signatures import Signature, signatures_for
 from repro.events.registry import EventRegistry
 from repro.guard import GuardConfig, GuardViolation, certify_metric, require_finite
+from repro.guard.certify import holdout_folds
 from repro.hardware.systems import MachineNode
 from repro.obs import get_tracer
 from repro.papi.presets import PresetTable
@@ -655,9 +656,6 @@ class AnalysisPipeline:
 
         qrcp_guards = qrcp.health.guards_fired if qrcp.health is not None else ()
         certify = config.guard.enabled and config.guard.certify
-        if certify:
-            kept_idx = {name: i for i, name in enumerate(noise.kept)}
-            m_sel = matrix[:, [kept_idx[name] for name in selected_events]]
 
         vet_stamp = None
         if self.priors is not None:
@@ -676,6 +674,12 @@ class AnalysisPipeline:
         rounded: Dict[str, MetricDefinition] = {}
         presets = PresetTable(architecture=self.node.name)
         with tracer.span("compose") as span:
+            if certify:
+                kept_idx = {name: i for i, name in enumerate(noise.kept)}
+                m_sel = matrix[:, [kept_idx[name] for name in selected_events]]
+                folds = holdout_folds(
+                    self.basis.matrix, m_sel, config.guard, config.lstsq_rcond
+                )
             for signature in self.signatures:
                 with tracer.span("lstsq", metric=signature.name) as solve_span:
                     definition = compose_metric(
@@ -718,6 +722,7 @@ class AnalysisPipeline:
                         rcond=config.lstsq_rcond,
                         degraded=degraded,
                         guards_fired=fired,
+                        folds=folds,
                     )
                     definition = replace(definition, trust=trust)
                 if vet_stamp is not None:

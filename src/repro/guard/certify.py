@@ -29,11 +29,10 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.guard.health import GuardConfig
+from repro.linalg import HouseholderQR, default_rcond, lstsq_qr, solve_upper
+from repro.linalg.lstsq import independent_columns
 
-__all__ = ["TrustScore", "certify_metric"]
-
-#: Trust levels, best to worst.
-TRUST_LEVELS = ("certified", "caution", "reject")
+__all__ = ["TrustScore", "certify_metric", "holdout_folds"]
 
 
 @dataclass(frozen=True)
@@ -80,36 +79,51 @@ class TrustScore:
         return f"{self.level}{tail}"
 
 
-def _holdout_rows(n_rows: int, max_holdouts: int) -> np.ndarray:
-    """Evenly spaced kernel-row indices to hold out (all of them when the
-    benchmark is small enough)."""
-    if n_rows <= max_holdouts:
-        return np.arange(n_rows)
-    return np.unique(
-        np.linspace(0, n_rows - 1, max_holdouts).round().astype(int)
-    )
-
-
-def _basis_rank(e: np.ndarray, rcond: Optional[float]) -> int:
-    """Numerical rank of a reduced basis, using the same QR + truncation
-    rule the refits will use (so 'identifiable' means identifiable *to
-    this solver*, not to an idealized one)."""
-    from repro.linalg import lstsq_qr
-
-    return lstsq_qr(e, np.zeros(e.shape[0]), rcond=rcond).rank
-
-
-def _refit(
-    e: np.ndarray, m_sel: np.ndarray, coords: np.ndarray, rcond: Optional[float]
-) -> Tuple[np.ndarray, float]:
-    """Representations from basis ``e`` and a metric refit over them."""
-    from repro.linalg import lstsq_qr
-
-    x_hat = np.column_stack(
-        [lstsq_qr(e, m_sel[:, j], rcond=rcond).x for j in range(m_sel.shape[1])]
-    )
-    fit = lstsq_qr(x_hat, coords, rcond=rcond)
-    return fit.x, fit.backward_error
+def holdout_folds(
+    basis_matrix: np.ndarray,
+    selected_measurements: np.ndarray,
+    config: GuardConfig = GuardConfig(),
+    rcond: Optional[float] = None,
+) -> List[Tuple[int, object]]:
+    """Every leave-one-kernel-out fold of a domain, decided once for all
+    its metrics: ``(held-out row, x_hat)``, where ``x_hat`` holds the
+    selected events' representations re-derived without that row, or is
+    ``None`` (rank-deficient: skipped) or the exception the re-derivation
+    raised.  Empty when nothing is selected or too few rows remain.
+    """
+    e = np.asarray(basis_matrix, dtype=np.float64)
+    m_sel = np.asarray(selected_measurements, dtype=np.float64)
+    n_rows, n_dims = e.shape
+    if m_sel.shape[1] == 0 or n_rows - 1 < n_dims:
+        return []
+    if rcond is None:
+        rcond = default_rcond(n_rows - 1, n_dims)
+    rows = np.arange(n_rows)
+    if n_rows > config.certify_holdouts:
+        rows = np.unique(
+            np.linspace(0, n_rows - 1, config.certify_holdouts).round().astype(int)
+        )
+    folds = []
+    for i in rows:
+        keep = np.arange(n_rows) != i
+        fact = HouseholderQR(e[keep])
+        for _ in range(n_dims):
+            fact.step()
+        r = fact.r_factor()[:, :n_dims]
+        # A kernel that solely witnesses some ideal event takes a basis
+        # dimension with it: no definition can be recalibrated without it.
+        x_hat = None
+        if independent_columns(r, rcond).all():
+            # Per column, exactly the arithmetic of a full-rank lstsq_qr,
+            # so x_hat is bit-identical to one lstsq_qr per column.
+            x_hat = np.empty((n_dims, m_sel.shape[1]))
+            try:
+                for j, column in enumerate(m_sel[keep].T):
+                    x_hat[:, j] = solve_upper(r, fact.apply_qt(column)[:n_dims])
+            except (ValueError, np.linalg.LinAlgError) as exc:
+                x_hat = exc
+        folds.append((int(i), x_hat))
+    return folds
 
 
 def certify_metric(
@@ -124,6 +138,7 @@ def certify_metric(
     rcond: Optional[float] = None,
     degraded: bool = False,
     guards_fired: Sequence[str] = (),
+    folds: Optional[Sequence[Tuple[int, object]]] = None,
 ) -> TrustScore:
     """Cross-validate one metric definition on held-out kernels.
 
@@ -142,6 +157,9 @@ def certify_metric(
         Upstream caveats folded into the verdict: a fault-degraded
         selection or a fired conditioning guard caps the level at
         ``caution`` even if the holdout spreads are clean.
+    folds:
+        The domain's :func:`holdout_folds`, shared by every metric
+        composed over the same selection; built here when not given.
     """
     e = np.asarray(basis_matrix, dtype=np.float64)
     m_sel = np.asarray(selected_measurements, dtype=np.float64)
@@ -173,44 +191,35 @@ def certify_metric(
     coeff_spread = 0.0
     error_spread = 0.0
     per_event_dev = np.zeros(len(event_names))
-    rows = _holdout_rows(n_rows, config.certify_holdouts)
+    if folds is None:
+        folds = holdout_folds(e, m_sel, config, rcond)
     skipped = 0
     performed = 0
-    for i in rows:
-        keep = np.arange(n_rows) != i
-        if _basis_rank(e[keep], rcond) < n_dims:
-            # Removing this kernel collapses a basis dimension (the
-            # kernel is the sole witness of some ideal event): the fold
-            # cannot recalibrate *any* definition, so it carries no
-            # stability evidence about this one.
+    for i, x_hat in folds:
+        if x_hat is None:
             skipped += 1
             continue
         performed += 1
         try:
-            y_i, err_i = _refit(e[keep], m_sel[keep], coords, rcond)
+            if isinstance(x_hat, Exception):
+                raise x_hat
+            fit = lstsq_qr(x_hat, coords, rcond=rcond)
+            finite = np.isfinite(fit.x).all() and np.isfinite(fit.backward_error)
+            failure = None if finite else "produced non-finite values"
         except (ValueError, np.linalg.LinAlgError) as exc:
+            failure = f"failed: {exc}"
+        if failure is not None:
             return TrustScore(
                 level="reject",
-                reasons=(f"holdout refit without kernel row {i} failed: {exc}",),
+                reasons=(f"holdout refit without kernel row {i} {failure}",),
                 n_holdouts=performed,
                 n_skipped=skipped,
                 suspect_events=tuple(event_names),
             )
-        if not np.isfinite(y_i).all() or not np.isfinite(err_i):
-            return TrustScore(
-                level="reject",
-                reasons=(
-                    f"holdout refit without kernel row {i} produced "
-                    "non-finite values",
-                ),
-                n_holdouts=performed,
-                n_skipped=skipped,
-                suspect_events=tuple(event_names),
-            )
-        dev = np.abs(y_i - y_full)
+        dev = np.abs(fit.x - y_full)
         per_event_dev = np.maximum(per_event_dev, dev)
         coeff_spread = max(coeff_spread, float(dev.max()) / scale)
-        error_spread = max(error_spread, abs(err_i - full_error))
+        error_spread = max(error_spread, abs(fit.backward_error - full_error))
 
     if performed == 0:
         return TrustScore(

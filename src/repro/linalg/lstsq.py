@@ -43,7 +43,7 @@ from repro.obs import get_tracer
 if TYPE_CHECKING:
     from repro.guard.health import GuardConfig, NumericalHealth
 
-__all__ = ["LstsqResult", "default_rcond", "lstsq_qr"]
+__all__ = ["LstsqResult", "default_rcond", "independent_columns", "lstsq_qr"]
 
 
 @dataclass(frozen=True)
@@ -87,6 +87,14 @@ def default_rcond(m: int, n: int) -> float:
     return max(m, n) * float(np.finfo(np.float64).eps)
 
 
+def independent_columns(r: np.ndarray, rcond: float) -> np.ndarray:
+    """The rank-truncation rule every rank decision for this solver uses:
+    column ``j`` of the triangle ``R`` counts when
+    ``|R[j, j]| > rcond * max|diag(R)|``."""
+    diag = np.abs(np.diag(r))
+    return diag > rcond * (diag.max() if diag.size else 0.0)
+
+
 def _qr_solve(
     a: np.ndarray, b: np.ndarray, rcond: float
 ) -> Tuple[np.ndarray, int, np.ndarray]:
@@ -101,9 +109,7 @@ def _qr_solve(
         fact.step()
     qtb = fact.apply_qt(b)
     r = fact.r_factor()[:, :n]
-    diag = np.abs(np.diag(r))
-    threshold = rcond * (diag.max() if diag.size else 0.0)
-    keep = diag > threshold
+    keep = independent_columns(r, rcond)
     rank = int(keep.sum())
 
     x = np.zeros(n)

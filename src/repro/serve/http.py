@@ -100,15 +100,17 @@ async def read_http_request(
             break
         name, _, value = line.decode("latin-1").partition(":")
         if name.strip().lower() == "content-length":
-            try:
-                content_length = int(value.strip())
-            except ValueError:
-                content_length = 0
+            # 1*DIGIT (RFC 9110): a sign or a word is refused below as -1.
+            value = value.strip()
+            content_length = int(value) if value.isdecimal() else -1
     if content_length < 0:
-        raise ServiceError(400, {"error": "negative Content-Length"})
+        raise ServiceError(400, {"error": "malformed Content-Length"})
     if content_length > _MAX_REQUEST_BYTES:
         raise ServiceError(400, {"error": "request body too large"})
-    body = await reader.readexactly(content_length) if content_length else b""
+    try:
+        body = await reader.readexactly(content_length)
+    except asyncio.IncompleteReadError:
+        raise ServiceError(400, {"error": "truncated request body"}) from None
     return method, target, body
 
 

@@ -187,10 +187,11 @@ class TestErrorMapping:
 
 
 class TestSharedRequestPath:
-    def test_negative_content_length_is_400_on_worker_and_front(self):
-        """The worker and the supervisor front share one request path,
-        so the same malformed request gets the same typed 400 from both
-        (neither listener needs its workers or its pipeline for this)."""
+    @staticmethod
+    def _answers(request, half_close=False):
+        """``(status, payload)`` of one raw request sent to the worker and
+        to the supervisor front (neither listener needs its workers or
+        its pipeline for a request refused at the wire)."""
         from repro.serve import (
             ServiceSupervisor,
             SupervisorConfig,
@@ -201,7 +202,6 @@ class TestSharedRequestPath:
         front = SupervisorServer(
             ServiceSupervisor(None, config=SupervisorConfig(workers=1))
         )
-        request = b"POST /v1/analyze HTTP/1.0\r\nContent-Length: -5\r\n\r\n"
 
         async def status_of(handler):
             server = await asyncio.start_server(handler, "127.0.0.1", 0)
@@ -210,6 +210,8 @@ class TestSharedRequestPath:
                 reader, writer = await asyncio.open_connection("127.0.0.1", port)
                 writer.write(request)
                 await writer.drain()
+                if half_close:
+                    writer.write_eof()
                 response = await reader.read()
                 writer.close()
             finally:
@@ -218,12 +220,35 @@ class TestSharedRequestPath:
             head, _, body = response.partition(b"\r\n\r\n")
             return int(head.split()[1]), json.loads(body)
 
-        answers = [
+        return [
             run_async(status_of(handler))
             for handler in (worker._handle, front._handle)
         ]
+
+    def test_negative_content_length_is_400_on_worker_and_front(self):
+        """The worker and the supervisor front share one request path,
+        so the same malformed request gets the same typed 400 from both;
+        a length that is not a non-negative integer is refused, never
+        read as an empty body."""
+        for length in (b"-5", b"abc", b"+5", b""):
+            request = (
+                b"POST /v1/analyze HTTP/1.0\r\nContent-Length: "
+                + length
+                + b"\r\n\r\n{}"
+            )
+            answers = self._answers(request)
+            assert [status for status, _ in answers] == [400, 400], length
+            assert all("Content-Length" in p["error"] for _, p in answers)
+
+    def test_truncated_body_is_400_on_worker_and_front(self, caplog):
+        """A client that sends fewer body bytes than its Content-Length
+        and half-closes gets a typed 400, and nothing is logged as a 500."""
+        request = b"POST /v1/analyze HTTP/1.0\r\nContent-Length: 50\r\n\r\n{}"
+        with caplog.at_level("ERROR"):
+            answers = self._answers(request, half_close=True)
         assert [status for status, _ in answers] == [400, 400]
-        assert all("Content-Length" in payload["error"] for _, payload in answers)
+        assert all("truncated" in payload["error"] for _, payload in answers)
+        assert not [r for r in caplog.records if r.levelname == "ERROR"]
 
     def test_empty_faults_is_an_unfaulted_request(self, tmp_path):
         """An empty fault spec, as ``?faults=`` or ``"faults": ""``, is
